@@ -10,10 +10,14 @@
 //! - `--smoke`: 1 iteration per shape — cheap enough for CI.
 //! - `--check FILE`: instead of writing, compare this run against a
 //!   previously committed baseline file. Exits non-zero when the file is
-//!   malformed, any shared shape regressed by more than `--max-regression`
+//!   malformed, was measured at another `pool_threads` than this run's,
+//!   any shared shape regressed by more than `--max-regression`
 //!   (default 2.0×), or — when the pool is configured with one thread —
 //!   either `gemm_nn` shape runs slower than the committed pre-pool serial
 //!   baseline (the pooled path must cost nothing at one thread).
+//!   `BENCH_substrate.json` is the 1-thread baseline and
+//!   `BENCH_substrate_2t.json` the 2-thread one; pick the pool size with
+//!   `BERTSCOPE_THREADS`.
 //!
 //! The JSON also carries the pre-pool *serial* baseline captured on the
 //! reference host before the parallel runtime landed, so the speedup from
@@ -168,7 +172,6 @@ fn bench_model() -> (BertConfig, PretrainBatch) {
 /// (`fwd.` / `bwd.`), everything outside the graph dispatch — optimizer
 /// and step bookkeeping — as the remainder.
 struct SchedStats {
-    workers: usize,
     tasks: usize,
     depth: usize,
     max_width: usize,
@@ -193,7 +196,7 @@ fn graph_sched_stats() -> SchedStats {
     let step_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let runs = sched::take_captured();
     let (mut fwd_ns, mut bwd_ns, mut graph_ns, mut busy_ns) = (0u64, 0u64, 0u64, 0u64);
-    let (mut tasks, mut depth, mut max_width, mut workers) = (0usize, 0usize, 0usize, 1usize);
+    let (mut tasks, mut depth, mut max_width) = (0usize, 0usize, 0usize);
     for r in &runs {
         for (label, ns) in r.labels.iter().zip(&r.task_ns) {
             if label.starts_with("fwd.") {
@@ -207,12 +210,10 @@ fn graph_sched_stats() -> SchedStats {
         tasks += r.labels.len();
         depth = depth.max(r.depth);
         max_width = max_width.max(r.max_width);
-        workers = workers.max(r.workers);
     }
     #[allow(clippy::cast_precision_loss)]
     let achieved_parallelism = if graph_ns == 0 { 0.0 } else { busy_ns as f64 / graph_ns as f64 };
     SchedStats {
-        workers,
         tasks,
         depth,
         max_width,
@@ -276,7 +277,7 @@ fn run_all(iters: u32) -> Vec<Sample> {
 
     // The same micro-step through the deferred operator-graph scheduler
     // (QKV projections and their gradients recorded as a task graph and
-    // dispatched with inter-op parallelism). Bit-identical results; the
+    // run in dependence order). Bit-identical results; the
     // check gates this entry against the eager one so scheduling overhead
     // stays a rounding error.
     let opts = TrainOptions { deferred: true, ..TrainOptions::default() };
@@ -340,7 +341,6 @@ fn render_json(mode: &str, samples: &[Sample], sched_stats: Option<&SchedStats>)
     out.push_str("  ],\n");
     if let Some(st) = sched_stats {
         out.push_str("  \"sched\": {\n");
-        let _ = writeln!(out, "    \"workers\": {},", st.workers);
         let _ = writeln!(out, "    \"tasks\": {},", st.tasks);
         let _ = writeln!(out, "    \"depth\": {},", st.depth);
         let _ = writeln!(out, "    \"max_width\": {},", st.max_width);
@@ -428,10 +428,29 @@ fn parse_baseline(doc: &str) -> Result<Vec<BaselineShape>, String> {
     Ok(entries)
 }
 
+/// The pool size a baseline document was measured at.
+fn parse_pool_threads(doc: &str) -> Result<usize, String> {
+    let marker = "\"pool_threads\": ";
+    let at = doc.find(marker).ok_or_else(|| String::from("missing \"pool_threads\" field"))?;
+    let digits: String =
+        doc[at + marker.len()..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().map_err(|_| String::from("bad \"pool_threads\" field"))
+}
+
 fn check(baseline_path: &str, samples: &[Sample], max_regression: f64) -> Result<(), String> {
     let doc = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
     let baseline = parse_baseline(&doc)?;
+    // Timings at one pool size say nothing about another: a 1-thread
+    // baseline would hide a regression that only shows with more threads.
+    let (base_threads, threads) = (parse_pool_threads(&doc)?, pool::configured_threads());
+    if base_threads != threads {
+        return Err(format!(
+            "{baseline_path} was measured at {base_threads} pool threads but this run uses \
+             {threads}; set BERTSCOPE_THREADS={base_threads} or check against a baseline \
+             measured at {threads}"
+        ));
+    }
     let mut failures = Vec::new();
     for base in &baseline {
         let label = &base.label;
@@ -563,13 +582,12 @@ fn main() -> ExitCode {
     let samples = run_all(iters);
     let sched_stats = graph_sched_stats();
     eprintln!(
-        "  graph: {} tasks, depth {}, max width {}, {:.3} achieved parallelism at {} workers; \
+        "  graph: {} tasks, depth {}, max width {}, {:.3} achieved parallelism; \
          fwd {} ns, bwd {} ns, opt+dispatch {} ns",
         sched_stats.tasks,
         sched_stats.depth,
         sched_stats.max_width,
         sched_stats.achieved_parallelism,
-        sched_stats.workers,
         sched_stats.fwd_ns,
         sched_stats.bwd_ns,
         sched_stats.opt_ns
@@ -621,7 +639,6 @@ mod tests {
 
     fn doc_for(samples: &[Sample]) -> String {
         let sched_stats = SchedStats {
-            workers: 1,
             tasks: 11,
             depth: 9,
             max_width: 2,
@@ -714,6 +731,26 @@ mod tests {
         let bad = [sample("micro_step_tiny_bert", 1000, 1), sample("micro_step_graph", 3000, 1)];
         let err = check(path, &bad, 2.0).unwrap_err();
         assert!(err.contains("whole-model graph micro-step is 3.00x the eager one"), "{err}");
+    }
+
+    #[test]
+    fn a_baseline_of_another_pool_size_is_refused() {
+        let threads = pool::configured_threads();
+        let doc = doc_for(&[sample("lamb_update_1m", 50, 2)]);
+        let path = std::env::temp_dir().join("bertscope_bench_threads_gate.json");
+        let other = doc.replace(
+            &format!("\"pool_threads\": {threads},"),
+            &format!("\"pool_threads\": {},", threads + 1),
+        );
+        std::fs::write(&path, other).unwrap();
+        let err =
+            check(path.to_str().unwrap(), &[sample("lamb_update_1m", 50, 2)], 2.0).unwrap_err();
+        assert!(err.contains(&format!("measured at {} pool threads", threads + 1)), "{err}");
+        let missing = doc.replace(&format!("\"pool_threads\": {threads},"), "");
+        std::fs::write(&path, missing).unwrap();
+        let err =
+            check(path.to_str().unwrap(), &[sample("lamb_update_1m", 50, 2)], 2.0).unwrap_err();
+        assert!(err.contains("missing \"pool_threads\""), "{err}");
     }
 
     #[test]

@@ -141,7 +141,8 @@ fn run_traces(paths: &[String], stats: bool) -> i32 {
 /// Verify the operator-graph scheduler's *emitted* orders: for a sample
 /// of the paper configurations, plan a completion order with
 /// `bertscope_tensor::sched::plan_order` at several worker counts — with
-/// the fusion pass off and on — then re-check that order against the
+/// the fusion pass off and on; the one-worker order is the one
+/// `TaskGraph::run` executes — then re-check that order against the
 /// stream's dependence DAG (H-series), verify any fusion grouping with the
 /// F-series legality rules, and replay the reordered stream through the
 /// communication-ordering and L-series lifetime rules. This is the closed

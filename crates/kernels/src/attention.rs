@@ -83,8 +83,8 @@ pub struct AttentionConfig {
     /// separate memory-bound elementwise kernels (paper §6.1.3 fusion).
     pub fused_epilogue: bool,
     /// Record the independent Q/K/V projections (forward and backward) as
-    /// an operator graph and let the scheduler retire them concurrently,
-    /// instead of executing them serially at their call sites. Ignored when
+    /// an operator graph and run them through the scheduler, instead of
+    /// executing them at their call sites. Ignored when
     /// [`fused_qkv`](Self::fused_qkv) already collapses them into one GEMM.
     /// Results and traces are bit-identical to eager execution.
     pub deferred: bool,
@@ -273,7 +273,7 @@ pub fn attention_fwd(
         split_columns3(&qkv)?
     } else if cfg.deferred {
         // Deferred mode: the three projections only share reads (x and
-        // their own weights), so the scheduler retires them concurrently.
+        // their own weights), so they form one independent scheduler group.
         // Each declares a fresh symbolic output buffer; the real output
         // ids land in the per-task trace records as usual.
         let tasks: Vec<GroupTask<'_, Result<Tensor>>> =
@@ -502,7 +502,7 @@ pub fn attention_bwd(
     } else if cfg.deferred {
         // Deferred mode: the three projection backward passes are mutually
         // independent (each reads x, its own weight and its own upstream
-        // gradient), so they run as a concurrent group.
+        // gradient), so they run as one scheduler group.
         let tasks: Vec<GroupTask<'_, ProjGrads>> =
             [("attn.grad_q", &p.wq, &dq), ("attn.grad_k", &p.wk, &dk), ("attn.grad_v", &p.wv, &dv)]
                 .map(|(label, w, d)| {

@@ -181,12 +181,12 @@ impl<T> std::fmt::Debug for GroupTask<'_, T> {
 }
 
 /// Deferred mode: run a group of recorded kernel calls as an operator
-/// graph. Dependences come from the declared access sets, independent
-/// tasks retire concurrently on the worker pool, and results are returned
-/// in *submission* order — so swapping an eager call sequence for a
-/// `run_group` is behaviour-preserving: bit-identical values, an identical
-/// merged trace, and only the real schedule (captured in the returned
-/// [`RunReport`]) differs.
+/// graph. Dependences come from the declared access sets, the tasks run in
+/// dependence order with their kernels spread over the worker pool, and
+/// results are returned in *submission* order — so swapping an eager call
+/// sequence for a `run_group` is behaviour-preserving: bit-identical
+/// values, an identical merged trace, and only the real schedule (captured
+/// in the returned [`RunReport`]) differs.
 ///
 /// # Panics
 ///

@@ -18,8 +18,8 @@
 //!   allocator), with global live/peak byte accounting that feeds the
 //!   measured [`MemoryProfile`];
 //! * [`sched`] — the deferred operator-graph scheduler: tasks recorded
-//!   with `AccessSet` provenance, executed as a dependence DAG over the
-//!   worker pool with inter-op parallelism (the CPU stand-in for HIP
+//!   with `AccessSet` provenance, executed in dependence order with each
+//!   task's kernels spread over the worker pool (the CPU stand-in for HIP
 //!   stream/event scheduling), bit-identical to eager program order;
 //! * [`trace`] — the operation tracer that records, for every kernel
 //!   invocation, its manifestation (GEMM / batched-GEMM / elementwise /

@@ -151,14 +151,12 @@ fn in_worker() -> bool {
 }
 
 /// Run `f` with every nested `parallel_*`/[`run_tasks`] call forced inline
-/// on the current thread, exactly as if it were a pool worker.
+/// on the current thread, exactly as if it were a pool worker: the 1-thread
+/// reference chunking every kernel is bit-identical against.
 ///
-/// The operator-graph scheduler ([`crate::sched`]) needs this: its executor
-/// loops occupy the pool's worker threads *and* the submitting thread, so a
-/// task body that re-entered [`run_tasks`] from the submitting thread would
-/// queue chunks behind executor loops that never drain — a deadlock. Forcing
-/// the body inline also pins it to the 1-thread reference chunking, which is
-/// the behaviour every kernel is bit-identical against.
+/// The substrate itself does not call it (the operator-graph scheduler runs
+/// task bodies with the full pool); the repository benchmark's GEMM replays
+/// (`perfbench`) use it to time kernels on one thread.
 pub fn run_isolated<R>(f: impl FnOnce() -> R) -> R {
     struct Reset(bool);
     impl Drop for Reset {

@@ -8,24 +8,28 @@
 //! provenance the tracer already threads through every kernel. [`TaskGraph::run`]
 //! derives the dependence DAG from that provenance (the same
 //! last-writer/readers-since construction as `bertscope-check`'s
-//! `DepGraph::build`), then dispatches *ready* tasks onto the worker pool —
-//! independent ops (the three Q/K/V projections, per-layer gradient
-//! computations) retire concurrently instead of serially.
+//! `DepGraph::build`), orders it with a FIFO ready queue ([`plan_order`] at
+//! one worker), and runs the tasks one at a time on the submitting thread.
+//! Each body calls its kernels directly, so their `parallel_*` loops fan out
+//! over the worker pool exactly as eager kernels do. The recorded graphs
+//! are narrow (a whole-model step at layer grain is two tasks wide, a QKV
+//! island three), so running ready tasks side by side would buy little and
+//! would take the pool's threads away from the kernels.
 //!
 //! # Determinism and safety
 //!
-//! * **Bit-identical results.** Every task body runs under
-//!   [`pool::run_isolated`], i.e. internally serial with the 1-thread
-//!   reference chunking each kernel is already bit-identical against.
-//!   Parallelism comes only from the DAG, and the DAG never lets two tasks
-//!   race on a buffer (RAW/WAR/WAW all become edges), so outputs are
+//! * **Bit-identical results.** Kernel chunk grains depend only on shapes,
+//!   never on the thread count, so a task body computes the same bits at
+//!   any pool size. The DAG order never runs a task before one it
+//!   conflicts with (RAW/WAR/WAW all become edges), so outputs are
 //!   bit-identical to eager program order at any worker count.
 //! * **Deterministic traces.** Each task records into a private tracer;
 //!   [`TaskGraph::run`] merges the fragments back in *submission* order, so
 //!   the merged trace equals the eager trace regardless of retirement
-//!   order. What actually varies — the completion order — is returned in
-//!   the [`RunReport`] so `bertscope-check` can re-verify the *emitted
-//!   schedule* against the H001–H005 hazard rules.
+//!   order. The retirement order is returned in the [`RunReport`] so
+//!   `bertscope-check` can re-verify the *emitted schedule* against the
+//!   H001–H005 hazard rules; it is always `plan_order(&accesses, 1)`, which
+//!   `racecheck --sched` verifies without executing anything.
 //! * **Opaque tasks are barriers.** A task whose [`AccessSet`] is empty has
 //!   unknown provenance; the scheduler orders it after every earlier task
 //!   and before every later one rather than guessing independence.
@@ -50,13 +54,11 @@
 //! assert_eq!(out.take(), Some(42));
 //! ```
 
-use crate::pool;
 use crate::trace::{AccessSet, BufId, OpRecord, Tracer};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// A recorded task body: runs once, records its kernels into the private
@@ -120,15 +122,13 @@ pub struct RunReport {
     /// in `completion_order`, each task's records in the order it recorded
     /// them. Empty when the tracer was disabled.
     pub record_order: Vec<usize>,
-    /// Worker count the executor ran with.
-    pub workers: usize,
     /// Task labels, indexed by task id.
     pub labels: Vec<String>,
     /// Wall-clock nanoseconds each task body spent executing, indexed by
     /// task id.
     pub task_ns: Vec<u64>,
-    /// Wall-clock nanoseconds the whole dispatch took, from first ready
-    /// task to quiescence.
+    /// Wall-clock nanoseconds the whole dispatch took, from the first task
+    /// starting to the last one retiring.
     pub elapsed_ns: u64,
     /// Length of the longest dependence chain (number of ASAP levels).
     pub depth: usize,
@@ -137,8 +137,9 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Effective worker occupancy: total per-task busy time over the run's
-    /// wall time. 1.0 means perfectly serial; `workers` is the ceiling.
+    /// Effective task occupancy: total per-task busy time over the run's
+    /// wall time. Tasks run one at a time, so 1.0 is the ceiling and the
+    /// shortfall is dispatch overhead.
     #[must_use]
     pub fn achieved_parallelism(&self) -> f64 {
         if self.elapsed_ns == 0 {
@@ -169,7 +170,7 @@ pub fn dag_shape(preds: &[Vec<usize>]) -> (usize, usize) {
 }
 
 /// A deferred execution graph: tasks recorded with buffer provenance, run
-/// as a dependence DAG over the worker pool.
+/// in dependence order.
 #[derive(Default)]
 pub struct TaskGraph<'scope> {
     tasks: Vec<Task<'scope>>,
@@ -215,125 +216,44 @@ impl<'scope> TaskGraph<'scope> {
     }
 
     /// Execute the graph: derive the dependence DAG from the recorded
-    /// access sets and dispatch ready tasks onto the worker pool until all
-    /// retire. Task bodies run isolated (internally serial), so results are
-    /// bit-identical to eager program order at any thread count. Records
-    /// are merged into `tracer` in submission order; the actual retirement
-    /// order is returned for hazard re-verification.
+    /// access sets and run the tasks one at a time on the calling thread,
+    /// in the FIFO ready-queue order [`plan_order`] computes for one worker.
+    /// Bodies are called directly, so their kernels spread over the worker
+    /// pool as eager kernels do, and results are bit-identical to eager
+    /// program order at any thread count. Records are merged into `tracer`
+    /// in submission order; the retirement order is returned for hazard
+    /// re-verification.
     ///
     /// # Panics
     ///
-    /// Re-raises the first task panic after the whole graph has quiesced
-    /// (no borrow escapes the call).
+    /// Re-raises a task's panic once it has named the task; the tasks after
+    /// it do not run.
     pub fn run(self, tracer: &mut Tracer) -> RunReport {
-        let n = self.tasks.len();
-        let workers = pool::current_threads().min(n).max(1);
-        if n == 0 {
-            return RunReport {
-                completion_order: Vec::new(),
-                first_record: tracer.records().len(),
-                task_records: Vec::new(),
-                record_order: Vec::new(),
-                workers,
-                labels: Vec::new(),
-                task_ns: Vec::new(),
-                elapsed_ns: 0,
-                depth: 0,
-                max_width: 0,
-            };
-        }
         let accesses: Vec<&AccessSet> = self.tasks.iter().map(|t| &t.access).collect();
         let preds = dependence_preds(&accesses);
         let (depth, max_width) = dag_shape(&preds);
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for (i, ps) in preds.iter().enumerate() {
-            indeg[i] = ps.len();
-            for &p in ps {
-                succs[p].push(i);
-            }
-        }
-        let ready: VecDeque<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let shared = ExecShared {
-            state: Mutex::new(ExecState {
-                ready,
-                indeg,
-                remaining: n,
-                completed: Vec::with_capacity(n),
-                panic: None,
-            }),
-            work: Condvar::new(),
-        };
+        let completion_order = fifo_order(&preds, 1);
+        let n = self.tasks.len();
         let enabled = tracer.is_enabled();
-        let labels: Vec<String> = self.tasks.iter().map(|t| t.label.clone()).collect();
-        let bodies: Vec<Mutex<Option<TaskBody<'scope>>>> =
-            self.tasks.into_iter().map(|t| Mutex::new(Some(t.body))).collect();
-        let outputs: Vec<Mutex<Vec<OpRecord>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        let timings: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-
-        // One executor loop per participating thread. Each loop claims a
-        // ready task, runs its body isolated, retires it and wakes the
-        // others; loops exit when the graph is drained (or poisoned by a
-        // panic). `pool::run_tasks` runs loop 0 on the calling thread.
-        let exec_loop = || loop {
-            let t = {
-                let mut st = shared.state.lock().expect("sched state poisoned");
-                loop {
-                    if st.panic.is_some() || st.remaining == 0 {
-                        return;
-                    }
-                    if let Some(t) = st.ready.pop_front() {
-                        break t;
-                    }
-                    st = shared.work.wait(st).expect("sched state poisoned");
-                }
-            };
-            let body = bodies[t]
-                .lock()
-                .expect("sched body poisoned")
-                .take()
-                .expect("task dispatched twice");
+        let (labels, mut bodies): (Vec<String>, Vec<Option<TaskBody<'scope>>>) =
+            self.tasks.into_iter().map(|t| (t.label, Some(t.body))).unzip();
+        let mut outputs: Vec<Vec<OpRecord>> = vec![Vec::new(); n];
+        let mut task_ns = vec![0u64; n];
+        let dispatch_began = Instant::now();
+        for &t in &completion_order {
+            let body = bodies[t].take().expect("the FIFO order lists each task once");
             let mut local = if enabled { Tracer::new() } else { Tracer::disabled() };
             let began = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| pool::run_isolated(|| body(&mut local))));
-            timings[t].store(began.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            *outputs[t].lock().expect("sched output poisoned") = local.into_records();
-            let mut st = shared.state.lock().expect("sched state poisoned");
-            match result {
-                Ok(()) => {
-                    st.completed.push(t);
-                    st.remaining -= 1;
-                    for &s in &succs[t] {
-                        st.indeg[s] -= 1;
-                        if st.indeg[s] == 0 {
-                            st.ready.push_back(s);
-                        }
-                    }
-                }
-                Err(payload) => {
-                    if st.panic.is_none() {
-                        st.panic = Some((t, payload));
-                    }
-                }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body(&mut local))) {
+                // Surface which task died, then re-raise the original payload
+                // so assertion messages survive.
+                eprintln!("bertscope-sched: task {t} `{}` panicked", labels[t]);
+                std::panic::resume_unwind(payload);
             }
-            drop(st);
-            shared.work.notify_all();
-        };
-        let loops: Vec<Box<dyn FnOnce() + Send + '_>> =
-            (0..workers).map(|_| Box::new(exec_loop) as Box<dyn FnOnce() + Send + '_>).collect();
-        let dispatch_began = Instant::now();
-        pool::run_tasks(loops);
-        let elapsed_ns = dispatch_began.elapsed().as_nanos() as u64;
-
-        let mut st = shared.state.into_inner().expect("sched state poisoned");
-        if let Some((t, payload)) = st.panic.take() {
-            // Surface which task died, then re-raise the original payload
-            // so assertion messages survive.
-            eprintln!("bertscope-sched: task {t} `{}` panicked", labels[t]);
-            std::panic::resume_unwind(payload);
+            task_ns[t] = began.elapsed().as_nanos() as u64;
+            outputs[t] = local.into_records();
         }
-        let completion_order = st.completed;
-        debug_assert_eq!(completion_order.len(), n, "scheduler retired every task");
+        let elapsed_ns = dispatch_began.elapsed().as_nanos() as u64;
 
         // Merge per-task records back in submission order: the merged trace
         // is identical to the eager trace, and each task's records occupy a
@@ -341,10 +261,9 @@ impl<'scope> TaskGraph<'scope> {
         let first_record = tracer.records().len();
         let mut task_records = Vec::with_capacity(n);
         let mut next = first_record;
-        for out in &outputs {
-            let mut records = out.lock().expect("sched output poisoned");
+        for records in outputs {
             let count = records.len();
-            tracer.extend(records.drain(..));
+            tracer.extend(records);
             task_records.push(next..next + count);
             next += count;
         }
@@ -353,13 +272,11 @@ impl<'scope> TaskGraph<'scope> {
         } else {
             Vec::new()
         };
-        let task_ns: Vec<u64> = timings.iter().map(|t| t.load(Ordering::Relaxed)).collect();
         let report = RunReport {
             completion_order,
             first_record,
             task_records,
             record_order,
-            workers,
             labels,
             task_ns,
             elapsed_ns,
@@ -406,19 +323,6 @@ impl<'scope> TaskGraph<'scope> {
         }
         (out, FusionReport { groups: groups.clone(), fused })
     }
-}
-
-struct ExecShared {
-    state: Mutex<ExecState>,
-    work: Condvar,
-}
-
-struct ExecState {
-    ready: VecDeque<usize>,
-    indeg: Vec<usize>,
-    remaining: usize,
-    completed: Vec<usize>,
-    panic: Option<(usize, Box<dyn std::any::Any + Send>)>,
 }
 
 /// Per-task predecessor lists derived from access sets — the same
@@ -596,15 +500,16 @@ pub fn expand_order(groups: &[Vec<usize>], group_order: &[usize]) -> Vec<usize> 
     group_order.iter().flat_map(|&g| groups[g].iter().copied()).collect()
 }
 
-/// Deterministically simulate the executor's scheduling policy over a
-/// stream of access sets, one task per entry, with `workers` virtual
-/// executor loops of unit task duration: a FIFO ready queue seeded in
-/// submission order, up to `workers` tasks in flight, in-flight tasks
-/// retiring in ascending id order each tick. Returns the completion
-/// order — a topological order of the dependence DAG, usable with
-/// `Schedule::from_completion_order` to re-verify the policy against the
-/// hazard rules without executing anything (`racecheck --sched` does this
-/// over the analytic streams of all 42 paper configurations).
+/// Deterministically plan a FIFO ready-queue schedule over a stream of
+/// access sets, one task per entry, with `workers` virtual workers of unit
+/// task duration: a FIFO ready queue seeded in submission order, up to
+/// `workers` tasks in flight, in-flight tasks retiring in ascending id
+/// order each tick. Returns the completion order — a topological order of
+/// the dependence DAG, usable with `Schedule::from_completion_order` to
+/// re-verify the policy against the hazard rules without executing
+/// anything (`racecheck --sched` does this over sampled paper
+/// configurations). The one-worker order is exactly the order
+/// [`TaskGraph::run`] executes.
 ///
 /// # Panics
 ///
@@ -612,8 +517,12 @@ pub fn expand_order(groups: &[Vec<usize>], group_order: &[usize]) -> Vec<usize> 
 #[must_use]
 pub fn plan_order(accesses: &[&AccessSet], workers: usize) -> Vec<usize> {
     assert!(workers >= 1, "worker count must be at least 1");
-    let n = accesses.len();
-    let preds = dependence_preds(accesses);
+    fifo_order(&dependence_preds(accesses), workers)
+}
+
+/// [`plan_order`] over precomputed predecessor lists.
+fn fifo_order(preds: &[Vec<usize>], workers: usize) -> Vec<usize> {
+    let n = preds.len();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
     for (i, ps) in preds.iter().enumerate() {
@@ -716,8 +625,9 @@ fn log_run(report: &RunReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::with_threads;
+    use crate::pool::{self, with_threads};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn acc(reads: &[BufId], writes: &[BufId]) -> AccessSet {
         AccessSet::new(reads, writes)
@@ -873,7 +783,7 @@ mod tests {
 
     #[test]
     fn nested_kernels_in_task_bodies_do_not_deadlock() {
-        // A task body that itself calls parallel_for: must run inline.
+        // Task bodies whose kernels fan out over the pool.
         with_threads(4, || {
             let sums = Mutex::new(vec![0usize; 2]);
             let mut g = TaskGraph::new();
@@ -888,6 +798,31 @@ mod tests {
             }
             g.run(&mut Tracer::disabled());
             assert_eq!(*sums.lock().unwrap(), vec![4950, 4950]);
+        });
+    }
+
+    #[test]
+    fn task_body_loops_run_their_chunks_at_once() {
+        // Each chunk of a two-chunk loop waits, up to a deadline, for the
+        // other to arrive: they meet only when both are in flight at once.
+        with_threads(2, || {
+            let arrived = AtomicUsize::new(0);
+            let met = AtomicUsize::new(0);
+            let mut g = TaskGraph::new();
+            g.submit("fan_out", acc(&[], &[BufId::fresh()]), |_| {
+                pool::parallel_for(2, 1, |_| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    if arrived.load(Ordering::SeqCst) == 2 {
+                        met.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            });
+            g.run(&mut Tracer::disabled());
+            assert_eq!(met.load(Ordering::SeqCst), 2, "a task body's loop ran on one thread");
         });
     }
 
@@ -925,7 +860,6 @@ mod tests {
             first_record: 2,
             task_records: vec![2..3, 3..4],
             record_order: vec![3, 2],
-            workers: 2,
             labels: vec!["a".into(), "b".into()],
             task_ns: vec![1, 1],
             elapsed_ns: 2,

@@ -11,14 +11,15 @@
 //!
 //! * **Bit identity.** Task bodies execute the *same* kernel calls the
 //!   eager path makes (the forward stages are literally shared functions,
-//!   [`crate::layer`]), each body runs internally serial, and values move
-//!   between tasks through rendezvous cells — so losses, gradients and the
-//!   merged trace are bit-identical to eager at any worker count.
+//!   [`crate::layer`]), every kernel cuts its pool chunks by shape alone,
+//!   inside a task as outside one, and values move between tasks through
+//!   rendezvous cells — so losses, gradients and the merged trace are
+//!   bit-identical to eager at any worker count.
 //! * **Deterministic observer order.** The backward chain is serialized by
 //!   its `dy` dataflow, so gradient groups retire heads → layers (last to
 //!   first) → embeddings exactly as in eager execution, and
-//!   backward/AllReduce overlap ([`crate::defer`]) composes with inter-op
-//!   parallelism unchanged.
+//!   backward/AllReduce overlap ([`crate::defer`]) composes with graph
+//!   execution unchanged.
 //! * **Verified fusion.** With [`crate::TrainOptions::fuse`], the recorded
 //!   graph passes through [`TaskGraph::fuse`] before running; the merge is
 //!   legal only where the dependence DAG proves a sole-successor chain

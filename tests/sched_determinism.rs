@@ -1,11 +1,13 @@
 //! Property tests for the deferred operator-graph scheduler: randomly
 //! generated task DAGs executed at 1, 2 and 8 worker threads must leave
-//! bit-identical buffer contents, and every completion order the executor
-//! emits must replay cleanly through the static hazard rules
-//! (`check_schedule` over `Schedule::from_completion_order`).
+//! bit-identical buffer contents, every completion order the executor
+//! emits must be the one-worker `sched::plan_order` (the orders
+//! `racecheck --sched` verifies statically), and each must replay cleanly
+//! through the static hazard rules (`check_schedule` over
+//! `Schedule::from_completion_order`).
 
 use bertscope_check::{check_schedule, has_errors, report, DepGraph, Schedule};
-use bertscope_tensor::sched::TaskGraph;
+use bertscope_tensor::sched::{self, TaskGraph};
 use bertscope_tensor::{pool, AccessSet, BufId, Category, DType, OpKind, OpRecord, Phase, Tracer};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -99,9 +101,10 @@ fn bits(vals: &[f32]) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The tentpole's determinism claim, end to end: a random DAG scheduled
-    /// at 1, 2 and 8 threads produces bit-identical buffers, and every
-    /// emitted completion order is hazard-clean under H001–H005.
+    /// The scheduler's determinism claim, end to end: a random DAG
+    /// scheduled at 1, 2 and 8 threads produces bit-identical buffers, and
+    /// every emitted completion order is the planner's one-worker order and
+    /// hazard-clean under H001–H005.
     #[test]
     fn random_dags_are_bit_identical_and_hazard_clean(
         n_tasks in 2usize..14,
@@ -112,6 +115,8 @@ proptest! {
         let ids: Vec<BufId> = (0..n_bufs).map(|_| BufId::fresh()).collect();
         let ops = mirror_ops(&tasks, &ids);
         let graph = DepGraph::build(&ops);
+        let accesses: Vec<&AccessSet> = ops.iter().map(|op| &op.access).collect();
+        let planned = sched::plan_order(&accesses, 1);
 
         let (base, base_order) = pool::with_threads(1, || execute(&tasks, &ids));
         for v in &base {
@@ -130,6 +135,13 @@ proptest! {
             orders.push((threads, order));
         }
         for (threads, order) in orders {
+            prop_assert_eq!(
+                &order,
+                &planned,
+                "emitted order is not the planner's at {} threads (seed {})",
+                threads,
+                seed
+            );
             let sched = Schedule::from_completion_order(&order);
             let findings = check_schedule(&ops, &graph, &sched, "emitted");
             prop_assert!(

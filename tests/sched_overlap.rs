@@ -5,8 +5,8 @@
 //! Two angles:
 //!
 //! * the deferred micro-step is bit-identical to the eager one at 1, 2 and
-//!   8 worker threads — the scheduler buys inter-op parallelism without
-//!   touching numerics;
+//!   8 worker threads — the scheduler reorders work without touching
+//!   numerics;
 //! * a live overlapped trace (observer-fired buckets, per-bucket `Comm`
 //!   ops, presynced close) passes the H005 communication contract — no
 //!   update-phase op reads a gradient buffer before the bucket collective
