@@ -123,9 +123,9 @@ fn bench_attention_fused_vs_serial(c: &mut Criterion) {
             dropout_p: 0.0,
             fused_qkv: fused,
             fused_epilogue: false,
-            deferred: false,
             dtype: DType::F32,
             layer: 0,
+            ..AttentionConfig::default()
         };
         group.bench_with_input(
             BenchmarkId::new("attention_fwd", if fused { "fused_qkv" } else { "serial_qkv" }),

@@ -26,18 +26,13 @@
 //! the microkernel) and the fused-epilogue entries
 //! `linear_bias_gelu_512x4096x1024` / `attn_scores_fused_b256`, whose
 //! unfused counterparts are `gemm_nn_512x4096x1024` and
-//! `bgemm_nt_384x384x64_b256`. The v4 schema adds `micro_step_sched` —
-//! the same training micro-step recorded and executed through the
-//! deferred operator-graph scheduler — and `--check` gates it against
-//! this run's eager `micro_step_tiny_bert` (deferred must not be
-//! meaningfully slower than eager). The v5 schema adds
-//! `micro_step_graph` — the *whole-model* task-graph execution mode
-//! (`TrainOptions::graph`), every op of forward, loss and backward
-//! recorded as one dependence DAG per micro-step — gated against eager
-//! the same way, plus a `sched` section with the recorded graph's shape
-//! (task count, depth, max width, achieved parallelism) and its
-//! per-phase wall time split (forward/backward task time, remaining
-//! optimizer + dispatch time).
+//! `bgemm_nt_384x384x64_b256`. The v5 schema adds a `sched` section with
+//! the shape of the task graph a micro-step records (task count, depth,
+//! max width, achieved parallelism) and its per-phase wall time split
+//! (forward/backward task time, remaining optimizer + dispatch time). The
+//! v6 schema drops the `micro_step_sched` and `micro_step_graph` entries:
+//! every micro-step runs through the recorded task graph, so
+//! `micro_step_tiny_bert` times that one execution path.
 
 use bertscope_model::BertConfig;
 use bertscope_tensor::init::randn;
@@ -166,8 +161,8 @@ fn bench_model() -> (BertConfig, PretrainBatch) {
     (cfg, batch)
 }
 
-/// Shape and phase split of the whole-model task graph one training
-/// micro-step records (`micro_step_graph`'s workload), measured from the
+/// Shape and phase split of the task graph one training micro-step
+/// records (`micro_step_tiny_bert`'s workload), measured from the
 /// executor's own run report: per-task wall time summed by label prefix
 /// (`fwd.` / `bwd.`), everything outside the graph dispatch — optimizer
 /// and step bookkeeping — as the remainder.
@@ -183,8 +178,7 @@ struct SchedStats {
 
 fn graph_sched_stats() -> SchedStats {
     let (cfg, batch) = bench_model();
-    let opts = TrainOptions { graph: true, ..TrainOptions::default() };
-    let mut bert = Bert::new(cfg, opts, 3);
+    let mut bert = Bert::new(cfg, TrainOptions::default(), 3);
     let mut trainer = Trainer::new(Lamb::new(0.001), 1);
     let mut tr = Tracer::disabled();
     // Warmed-up single step under capture: the executor logs its run
@@ -266,39 +260,14 @@ fn run_all(iters: u32) -> Vec<Sample> {
         let _ = batched_gemm_ep(Transpose::No, Transpose::Yes, 1.0, &q, &k, ep).unwrap();
     }));
 
-    // Full training micro-step on a small BERT.
+    // Full training micro-step on a small BERT, recorded as a task graph
+    // and run through the operator-graph scheduler.
     let (cfg, batch) = bench_model();
     let mut bert = Bert::new(cfg, TrainOptions::default(), 3);
     let mut trainer = Trainer::new(Lamb::new(0.001), 1);
     samples.push(time_best("micro_step_tiny_bert", iters, 0, || {
         let mut tr = Tracer::disabled();
         trainer.micro_step(&mut tr, &mut bert, &batch).unwrap();
-    }));
-
-    // The same micro-step through the deferred operator-graph scheduler
-    // (QKV projections and their gradients recorded as a task graph and
-    // run in dependence order). Bit-identical results; the
-    // check gates this entry against the eager one so scheduling overhead
-    // stays a rounding error.
-    let opts = TrainOptions { deferred: true, ..TrainOptions::default() };
-    let mut bert_sched = Bert::new(cfg, opts, 3);
-    let mut trainer_sched = Trainer::new(Lamb::new(0.001), 1);
-    samples.push(time_best("micro_step_sched", iters, 0, || {
-        let mut tr = Tracer::disabled();
-        trainer_sched.micro_step(&mut tr, &mut bert_sched, &batch).unwrap();
-    }));
-
-    // The whole micro-step — embeddings, every layer, heads, loss and the
-    // full backward chain — recorded as one task graph per step
-    // (`TrainOptions::graph`) and dispatched through the operator-graph
-    // scheduler. Bit-identical to eager; gated against the eager entry the
-    // same way the deferred one is.
-    let opts = TrainOptions { graph: true, ..TrainOptions::default() };
-    let mut bert_graph = Bert::new(cfg, opts, 3);
-    let mut trainer_graph = Trainer::new(Lamb::new(0.001), 1);
-    samples.push(time_best("micro_step_graph", iters, 0, || {
-        let mut tr = Tracer::disabled();
-        trainer_graph.micro_step(&mut tr, &mut bert_graph, &batch).unwrap();
     }));
 
     // LAMB update over 1M parameters (the optimizer hot loop).
@@ -316,7 +285,7 @@ fn run_all(iters: u32) -> Vec<Sample> {
 
 fn render_json(mode: &str, samples: &[Sample], sched_stats: Option<&SchedStats>) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": \"bertscope-bench-substrate-v5\",");
+    let _ = writeln!(out, "  \"schema\": \"bertscope-bench-substrate-v6\",");
     let _ = writeln!(out, "  \"mode\": \"{mode}\",");
     let _ = writeln!(out, "  \"pool_threads\": {},", pool::configured_threads());
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -399,8 +368,8 @@ fn scan_field(rest: &mut &str, label: &str, field: &str, allow_zero: bool) -> Re
 /// `peak_bytes` (since the v3 schema); a missing or non-numeric field
 /// fails the whole document.
 fn parse_baseline(doc: &str) -> Result<Vec<BaselineShape>, String> {
-    if !doc.contains("\"schema\": \"bertscope-bench-substrate-v5\"") {
-        return Err("missing or unexpected schema marker (want v5)".into());
+    if !doc.contains("\"schema\": \"bertscope-bench-substrate-v6\"") {
+        return Err("missing or unexpected schema marker (want v6)".into());
     }
     let shapes_at =
         doc.find("\"shapes\"").ok_or_else(|| String::from("missing \"shapes\" section"))?;
@@ -508,36 +477,6 @@ fn check(baseline_path: &str, samples: &[Sample], max_regression: f64) -> Result
                     "{label} pooled-at-1-thread is slower than the serial baseline: \
                      {} ns vs {serial_ns} ns",
                     now.best_ns
-                ));
-            }
-        }
-    }
-    // Scheduler-vs-eager gates: neither the deferred attention islands
-    // (`micro_step_sched`) nor whole-model task-graph execution
-    // (`micro_step_graph`) may make the micro-step meaningfully slower
-    // than eager execution *in this run* (same host, same load). The 15%
-    // tolerance absorbs measurement noise on contended CI hosts; anything
-    // beyond it means the graph build or dispatch grew a real cost.
-    if let Some(eager) = samples.iter().find(|s| s.label == "micro_step_tiny_bert") {
-        for (label, what) in
-            [("micro_step_sched", "deferred"), ("micro_step_graph", "whole-model graph")]
-        {
-            let Some(sched) = samples.iter().find(|s| s.label == label) else {
-                continue;
-            };
-            #[allow(clippy::cast_precision_loss)]
-            let ratio = sched.best_ns as f64 / eager.best_ns.max(1) as f64;
-            println!(
-                "{label}: {what} {} ns vs eager {} ns ({ratio:.2}x{})",
-                sched.best_ns,
-                eager.best_ns,
-                if ratio > 1.15 { " — REGRESSION" } else { "" }
-            );
-            if ratio > 1.15 {
-                failures.push(format!(
-                    "{what} micro-step is {ratio:.2}x the eager one ({} ns vs {} ns, \
-                     limit 1.15x)",
-                    sched.best_ns, eager.best_ns
                 ));
             }
         }
@@ -686,51 +625,26 @@ mod tests {
         assert!(parse_baseline(v3).is_err(), "v3 schema (no micro_step_sched) is rejected");
         let v4 = "{\"schema\": \"bertscope-bench-substrate-v4\"}";
         assert!(parse_baseline(v4).is_err(), "v4 schema (no micro_step_graph) is rejected");
-        let no_shapes = "{\"schema\": \"bertscope-bench-substrate-v5\"}";
+        let v5 = "{\"schema\": \"bertscope-bench-substrate-v5\"}";
+        assert!(parse_baseline(v5).is_err(), "v5 schema (retired micro-step modes) is rejected");
+        let no_shapes = "{\"schema\": \"bertscope-bench-substrate-v6\"}";
         assert!(parse_baseline(no_shapes).is_err(), "missing shapes");
-        let zero = "{\n  \"schema\": \"bertscope-bench-substrate-v5\",\n  \"shapes\": [\n    \
+        let zero = "{\n  \"schema\": \"bertscope-bench-substrate-v6\",\n  \"shapes\": [\n    \
                     {\"label\": \"x\", \"iters\": 1, \"best_ns\": 0, \"mean_ns\": 0, \
                     \"flops\": 0, \"allocs\": 0, \"peak_bytes\": 1}\n  ]\n}";
         assert!(parse_baseline(zero).is_err(), "zero best_ns");
-        let no_flops = "{\n  \"schema\": \"bertscope-bench-substrate-v5\",\n  \"shapes\": [\n    \
+        let no_flops = "{\n  \"schema\": \"bertscope-bench-substrate-v6\",\n  \"shapes\": [\n    \
                         {\"label\": \"x\", \"iters\": 1, \"best_ns\": 5, \"mean_ns\": 5, \
                         \"allocs\": 1, \"peak_bytes\": 1}\n  ]\n}";
         assert!(parse_baseline(no_flops).is_err(), "missing flops field");
-        let no_allocs = "{\n  \"schema\": \"bertscope-bench-substrate-v5\",\n  \"shapes\": [\n    \
+        let no_allocs = "{\n  \"schema\": \"bertscope-bench-substrate-v6\",\n  \"shapes\": [\n    \
                          {\"label\": \"x\", \"iters\": 1, \"best_ns\": 5, \"mean_ns\": 5, \
                          \"flops\": 7}\n  ]\n}";
         assert!(parse_baseline(no_allocs).is_err(), "missing allocs field");
-        let no_peak = "{\n  \"schema\": \"bertscope-bench-substrate-v5\",\n  \"shapes\": [\n    \
+        let no_peak = "{\n  \"schema\": \"bertscope-bench-substrate-v6\",\n  \"shapes\": [\n    \
                        {\"label\": \"x\", \"iters\": 1, \"best_ns\": 5, \"mean_ns\": 5, \
                        \"flops\": 7, \"allocs\": 1}\n  ]\n}";
         assert!(parse_baseline(no_peak).is_err(), "missing peak_bytes field");
-    }
-
-    #[test]
-    fn deferred_slower_than_eager_fails_the_check() {
-        let doc = doc_for(&[sample("micro_step_tiny_bert", 1000, 1)]);
-        let path = std::env::temp_dir().join("bertscope_bench_sched_gate.json");
-        std::fs::write(&path, doc).unwrap();
-        let path = path.to_str().unwrap();
-        // Within tolerance passes; 2x the eager time fails.
-        let ok = [sample("micro_step_tiny_bert", 1000, 1), sample("micro_step_sched", 1100, 1)];
-        assert!(check(path, &ok, 2.0).is_ok());
-        let bad = [sample("micro_step_tiny_bert", 1000, 1), sample("micro_step_sched", 2000, 1)];
-        let err = check(path, &bad, 2.0).unwrap_err();
-        assert!(err.contains("deferred micro-step is 2.00x the eager one"), "{err}");
-    }
-
-    #[test]
-    fn whole_model_graph_slower_than_eager_fails_the_check() {
-        let doc = doc_for(&[sample("micro_step_tiny_bert", 1000, 1)]);
-        let path = std::env::temp_dir().join("bertscope_bench_graph_gate.json");
-        std::fs::write(&path, doc).unwrap();
-        let path = path.to_str().unwrap();
-        let ok = [sample("micro_step_tiny_bert", 1000, 1), sample("micro_step_graph", 1100, 1)];
-        assert!(check(path, &ok, 2.0).is_ok());
-        let bad = [sample("micro_step_tiny_bert", 1000, 1), sample("micro_step_graph", 3000, 1)];
-        let err = check(path, &bad, 2.0).unwrap_err();
-        assert!(err.contains("whole-model graph micro-step is 3.00x the eager one"), "{err}");
     }
 
     #[test]

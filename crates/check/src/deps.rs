@@ -396,7 +396,7 @@ impl Schedule {
 
     /// The serial schedule replaying an executor's observed *completion
     /// order* — e.g. [`bertscope_tensor::sched::RunReport::completion_order`]
-    /// from the deferred operator-graph scheduler — so an emitted schedule
+    /// from the operator-graph scheduler — so an emitted schedule
     /// can be re-checked against the very hazard rules that gate program
     /// order.
     ///

@@ -17,10 +17,11 @@
 //!   workspace routes through (the CPU stand-in for the ROCm caching
 //!   allocator), with global live/peak byte accounting that feeds the
 //!   measured [`MemoryProfile`];
-//! * [`sched`] — the deferred operator-graph scheduler: tasks recorded
-//!   with `AccessSet` provenance, executed in dependence order with each
-//!   task's kernels spread over the worker pool (the CPU stand-in for HIP
-//!   stream/event scheduling), bit-identical to eager program order;
+//! * [`sched`] — the operator-graph scheduler every training step runs
+//!   through: tasks recorded with `AccessSet` provenance, executed in
+//!   dependence order with each task's kernels spread over the worker pool
+//!   (the CPU stand-in for HIP stream/event scheduling), bit-identical to
+//!   submission order;
 //! * [`trace`] — the operation tracer that records, for every kernel
 //!   invocation, its manifestation (GEMM / batched-GEMM / elementwise /
 //!   reduction), shape, FLOP count and bytes moved. The tracer plays the role

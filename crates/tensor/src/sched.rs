@@ -1,20 +1,18 @@
-//! Deferred operator-graph scheduler: record first, run the DAG second.
+//! Operator-graph scheduler: record first, run the DAG second.
 //!
-//! The rest of the substrate executes kernels *eagerly* — each call runs at
-//! its call site, internally data-parallel over the worker pool, and the
-//! program order is the schedule. This module inverts that model the way a
-//! GPU stream/graph runtime does: callers *record* named tasks into a
-//! [`TaskGraph`], each task carrying the same [`AccessSet`] read/write
-//! provenance the tracer already threads through every kernel. [`TaskGraph::run`]
-//! derives the dependence DAG from that provenance (the same
-//! last-writer/readers-since construction as `bertscope-check`'s
-//! `DepGraph::build`), orders it with a FIFO ready queue ([`plan_order`] at
-//! one worker), and runs the tasks one at a time on the submitting thread.
-//! Each body calls its kernels directly, so their `parallel_*` loops fan out
-//! over the worker pool exactly as eager kernels do. The recorded graphs
-//! are narrow (a whole-model step at layer grain is two tasks wide, a QKV
-//! island three), so running ready tasks side by side would buy little and
-//! would take the pool's threads away from the kernels.
+//! Callers *record* named tasks into a [`TaskGraph`] the way a GPU
+//! stream/graph runtime does, each task carrying the same [`AccessSet`]
+//! read/write provenance the tracer already threads through every kernel.
+//! Every training step and evaluation pass of `bertscope-train` executes
+//! this way. [`TaskGraph::run`] derives the dependence DAG from that
+//! provenance (the same last-writer/readers-since construction as
+//! `bertscope-check`'s `DepGraph::build`), orders it with a FIFO ready queue
+//! ([`plan_order`] at one worker), and runs the tasks one at a time on the
+//! submitting thread. Each body calls its kernels directly, so their
+//! `parallel_*` loops fan out over the worker pool. The recorded graphs are
+//! narrow (a whole-model step at layer grain is two tasks wide), so running
+//! ready tasks side by side would buy little and would take the pool's
+//! threads away from the kernels.
 //!
 //! # Determinism and safety
 //!
@@ -22,11 +20,12 @@
 //!   never on the thread count, so a task body computes the same bits at
 //!   any pool size. The DAG order never runs a task before one it
 //!   conflicts with (RAW/WAR/WAW all become edges), so outputs are
-//!   bit-identical to eager program order at any worker count.
+//!   bit-identical to submission order at any worker count.
 //! * **Deterministic traces.** Each task records into a private tracer;
 //!   [`TaskGraph::run`] merges the fragments back in *submission* order, so
-//!   the merged trace equals the eager trace regardless of retirement
-//!   order. The retirement order is returned in the [`RunReport`] so
+//!   the merged trace is the same whatever the retirement order, and each
+//!   record keeps the live-byte sample taken while its task ran. The
+//!   retirement order is returned in the [`RunReport`] so
 //!   `bertscope-check` can re-verify the *emitted schedule* against the
 //!   H001–H005 hazard rules; it is always `plan_order(&accesses, 1)`, which
 //!   `racecheck --sched` verifies without executing anything.
@@ -54,9 +53,8 @@
 //! assert_eq!(out.take(), Some(42));
 //! ```
 
-use crate::trace::{AccessSet, BufId, OpRecord, Tracer};
+use crate::trace::{AccessSet, BufId, Tracer};
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -102,26 +100,14 @@ impl<T> Default for Slot<T> {
 }
 
 /// What one [`TaskGraph::run`] actually did: the retirement order the
-/// executor emitted, and where the merged records landed in the destination
-/// tracer. This is the hand-off to `bertscope-check`: `record_order` is a
-/// permutation of the run's record indices suitable for
+/// executor emitted, the task timings and the DAG's shape. The retirement
+/// order is the hand-off to `bertscope-check`: it replays through
 /// `Schedule::from_completion_order`, so every emitted schedule can be
 /// re-verified against the static hazard rules.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Task ids in the order they retired.
     pub completion_order: Vec<usize>,
-    /// Index in the destination tracer of this run's first merged record
-    /// (0 when the tracer was disabled).
-    pub first_record: usize,
-    /// Absolute record range each task contributed to the destination
-    /// tracer, indexed by task id. Records are merged in submission order,
-    /// so the ranges are contiguous and ascending.
-    pub task_records: Vec<Range<usize>>,
-    /// Absolute indices of this run's records in *retirement* order: tasks
-    /// in `completion_order`, each task's records in the order it recorded
-    /// them. Empty when the tracer was disabled.
-    pub record_order: Vec<usize>,
     /// Task labels, indexed by task id.
     pub labels: Vec<String>,
     /// Wall-clock nanoseconds each task body spent executing, indexed by
@@ -169,7 +155,7 @@ pub fn dag_shape(preds: &[Vec<usize>]) -> (usize, usize) {
     (depth, width.into_iter().max().unwrap_or(0))
 }
 
-/// A deferred execution graph: tasks recorded with buffer provenance, run
+/// An execution graph: tasks recorded with buffer provenance, run
 /// in dependence order.
 #[derive(Default)]
 pub struct TaskGraph<'scope> {
@@ -219,10 +205,10 @@ impl<'scope> TaskGraph<'scope> {
     /// access sets and run the tasks one at a time on the calling thread,
     /// in the FIFO ready-queue order [`plan_order`] computes for one worker.
     /// Bodies are called directly, so their kernels spread over the worker
-    /// pool as eager kernels do, and results are bit-identical to eager
-    /// program order at any thread count. Records are merged into `tracer`
-    /// in submission order; the retirement order is returned for hazard
-    /// re-verification.
+    /// pool, and results are bit-identical to submission order at any
+    /// thread count. Records are merged into `tracer` in submission order,
+    /// each with the live-byte sample its task took; the retirement order
+    /// is returned for hazard re-verification.
     ///
     /// # Panics
     ///
@@ -237,7 +223,7 @@ impl<'scope> TaskGraph<'scope> {
         let enabled = tracer.is_enabled();
         let (labels, mut bodies): (Vec<String>, Vec<Option<TaskBody<'scope>>>) =
             self.tasks.into_iter().map(|t| (t.label, Some(t.body))).unzip();
-        let mut outputs: Vec<Vec<OpRecord>> = vec![Vec::new(); n];
+        let mut outputs: Vec<Tracer> = std::iter::repeat_with(Tracer::disabled).take(n).collect();
         let mut task_ns = vec![0u64; n];
         let dispatch_began = Instant::now();
         for &t in &completion_order {
@@ -251,38 +237,14 @@ impl<'scope> TaskGraph<'scope> {
                 std::panic::resume_unwind(payload);
             }
             task_ns[t] = began.elapsed().as_nanos() as u64;
-            outputs[t] = local.into_records();
+            outputs[t] = local;
         }
         let elapsed_ns = dispatch_began.elapsed().as_nanos() as u64;
 
-        // Merge per-task records back in submission order: the merged trace
-        // is identical to the eager trace, and each task's records occupy a
-        // contiguous range.
-        let first_record = tracer.records().len();
-        let mut task_records = Vec::with_capacity(n);
-        let mut next = first_record;
-        for records in outputs {
-            let count = records.len();
-            tracer.extend(records);
-            task_records.push(next..next + count);
-            next += count;
+        for local in outputs {
+            tracer.merge(local, None);
         }
-        let record_order: Vec<usize> = if enabled {
-            completion_order.iter().flat_map(|&t| task_records[t].clone()).collect()
-        } else {
-            Vec::new()
-        };
-        let report = RunReport {
-            completion_order,
-            first_record,
-            task_records,
-            record_order,
-            labels,
-            task_ns,
-            elapsed_ns,
-            depth,
-            max_width,
-        };
+        let report = RunReport { completion_order, labels, task_ns, elapsed_ns, depth, max_width };
         log_run(&report);
         report
     }
@@ -554,46 +516,6 @@ fn fifo_order(preds: &[Vec<usize>], workers: usize) -> Vec<usize> {
     order
 }
 
-/// Expand a set of deferred-group [`RunReport`]s into a completion order
-/// for a whole trace of `total_records` records: records outside any group
-/// retire in program order; records inside a group retire in the order the
-/// group's executor emitted. The result is a permutation of
-/// `0..total_records` — the live schedule of a traced step, ready for
-/// `Schedule::from_completion_order`.
-///
-/// # Panics
-///
-/// Panics when the reports' record ranges overlap or exceed the trace.
-#[must_use]
-pub fn splice_order(total_records: usize, runs: &[RunReport]) -> Vec<usize> {
-    let mut sorted: Vec<&RunReport> = runs.iter().filter(|r| !r.record_order.is_empty()).collect();
-    sorted.sort_by_key(|r| r.first_record);
-    let mut order = Vec::with_capacity(total_records);
-    let mut next_run = sorted.iter().peekable();
-    let mut i = 0;
-    while i < total_records {
-        if let Some(run) = next_run.peek() {
-            if run.first_record == i {
-                let len = run.record_order.len();
-                assert!(
-                    i + len <= total_records,
-                    "deferred group records [{i}, {}) exceed the trace ({total_records} records)",
-                    i + len
-                );
-                order.extend_from_slice(&run.record_order);
-                i += len;
-                next_run.next();
-                continue;
-            }
-            assert!(run.first_record > i, "deferred group record ranges overlap at record {i}");
-        }
-        order.push(i);
-        i += 1;
-    }
-    assert!(next_run.peek().is_none(), "deferred group starts past the end of the trace");
-    order
-}
-
 thread_local! {
     /// Capture buffer for [`RunReport`]s, used by tests and `racecheck` to
     /// collect the live schedules a traced step emitted.
@@ -626,6 +548,7 @@ fn log_run(report: &RunReport) {
 mod tests {
     use super::*;
     use crate::pool::{self, with_threads};
+    use crate::trace::OpRecord;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
@@ -754,12 +677,8 @@ mod tests {
             let report = g.run(&mut tracer);
             let names: Vec<&str> = tracer.records().iter().map(|r| r.name.as_str()).collect();
             assert_eq!(names, vec!["a0", "a1", "b0", "c0"], "submission-order merge");
-            assert_eq!(report.task_records, vec![0..2, 2..3, 3..4]);
-            // record_order is a permutation ending with the join's record.
-            let mut sorted = report.record_order.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2, 3]);
-            assert_eq!(*report.record_order.last().unwrap(), 3);
+            assert_eq!(tracer.live_bytes_after().len(), 4, "each record keeps its sample");
+            assert_eq!(*report.completion_order.last().unwrap(), 2, "the join retires last");
         });
     }
 
@@ -854,24 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn splice_order_interleaves_groups_with_program_order() {
-        let run = RunReport {
-            completion_order: vec![1, 0],
-            first_record: 2,
-            task_records: vec![2..3, 3..4],
-            record_order: vec![3, 2],
-            labels: vec!["a".into(), "b".into()],
-            task_ns: vec![1, 1],
-            elapsed_ns: 2,
-            depth: 1,
-            max_width: 2,
-        };
-        let order = splice_order(6, &[run]);
-        assert_eq!(order, vec![0, 1, 3, 2, 4, 5]);
-        assert_eq!(splice_order(3, &[]), vec![0, 1, 2]);
-    }
-
-    #[test]
     fn capture_collects_run_reports() {
         start_capture();
         let x = BufId::fresh();
@@ -888,7 +789,6 @@ mod tests {
     fn empty_graph_is_a_no_op() {
         let report = TaskGraph::new().run(&mut Tracer::new());
         assert!(report.completion_order.is_empty());
-        assert!(report.record_order.is_empty());
         assert_eq!((report.depth, report.max_width), (0, 0));
     }
 

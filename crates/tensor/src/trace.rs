@@ -766,6 +766,25 @@ impl Tracer {
         self.records
     }
 
+    /// Append `child`'s records together with the live-byte samples taken
+    /// when `child` recorded them, so the memory profile reflects the bytes
+    /// live while each op ran, not when the records were merged. `phase`,
+    /// when given, relabels every moved record (a recomputed forward
+    /// becomes [`Phase::Recompute`]). No-op when this tracer is disabled.
+    pub fn merge(&mut self, child: Tracer, phase: Option<Phase>) {
+        if !self.enabled {
+            return;
+        }
+        let Tracer { mut records, live_samples, .. } = child;
+        if let Some(phase) = phase {
+            for rec in &mut records {
+                rec.phase = phase;
+            }
+        }
+        self.records.append(&mut records);
+        self.live_samples.extend(live_samples);
+    }
+
     /// Aggregate totals per [`Category`].
     #[must_use]
     pub fn by_category(&self) -> BTreeMap<Category, Totals> {
@@ -776,17 +795,6 @@ impl Tracer {
     #[must_use]
     pub fn by_group(&self) -> BTreeMap<Group, Totals> {
         summarize(&self.records, |r| r.category.group())
-    }
-}
-
-impl Extend<OpRecord> for Tracer {
-    fn extend<T: IntoIterator<Item = OpRecord>>(&mut self, iter: T) {
-        if self.enabled {
-            for rec in iter {
-                self.records.push(rec);
-                self.live_samples.push(crate::alloc::live_bytes());
-            }
-        }
     }
 }
 
@@ -1010,7 +1018,9 @@ mod tests {
     fn disabled_tracer_drops_records() {
         let mut tr = Tracer::disabled();
         tr.record(rec(Category::Gelu, 1, 1));
-        tr.extend([rec(Category::Gelu, 1, 1)]);
+        let mut child = Tracer::new();
+        child.record(rec(Category::Gelu, 1, 1));
+        tr.merge(child, None);
         assert_eq!(tr.kernel_count(), 0);
         assert!(!tr.is_enabled());
         assert!(tr.live_bytes_after().is_empty());
@@ -1026,11 +1036,14 @@ mod tests {
         tr.record(rec(Category::Gelu, 1, 1));
         let held = crate::alloc::Buffer::zeroed(1 << 16);
         tr.record(rec(Category::LambStage1, 1, 1));
-        tr.extend([{
-            let mut r = rec(Category::Gelu, 1, 1);
-            r.phase = Phase::Backward;
-            r
-        }]);
+        // A merged child keeps the samples it took while recording, and
+        // its records take the phase the merge assigns.
+        let mut child = Tracer::new();
+        child.record(rec(Category::Gelu, 1, 1));
+        let child_samples = child.live_bytes_after().to_vec();
+        tr.merge(child, Some(Phase::Backward));
+        assert_eq!(tr.live_bytes_after()[2..], child_samples[..]);
+        assert_eq!(tr.records()[2].phase, Phase::Backward);
         assert_eq!(tr.live_bytes_after().len(), tr.records().len());
         let profile = tr.memory_profile();
         assert!(profile.peak_bytes >= profile.baseline_bytes);

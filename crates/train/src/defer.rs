@@ -33,10 +33,10 @@ use std::ops::Range;
 /// is final when reported (the tied decoder gradient is already folded
 /// into the word embedding's).
 ///
-/// `Send` is a supertrait: under whole-model graph execution
-/// (`TrainOptions::graph`) the observer fires from inside backward *tasks*
-/// running on pool threads — in the same deterministic retirement order,
-/// since the backward chain is serialized by its dataflow.
+/// `Send` is a supertrait: the observer fires from inside the recorded
+/// step's backward *tasks* ([`crate::graph`]), whose bodies must be `Send`.
+/// Groups still retire in one deterministic order, since the backward
+/// chain is serialized by its dataflow.
 pub trait GradObserver: Send {
     /// Called once per group, in retirement order.
     fn group_ready(&mut self, base_slot: usize, grads: &[&Tensor]);

@@ -1,25 +1,26 @@
-//! Whole-model task-graph execution: the training step and the inference
-//! pass recorded as one dependence DAG per micro-step and executed through
-//! the operator-graph scheduler (`bertscope_tensor::sched`).
+//! Task-graph execution of the training step and the inference pass: each
+//! call is recorded as one dependence DAG and executed through the
+//! operator-graph scheduler (`bertscope_tensor::sched`). This is how
+//! [`Bert::train_step`], [`Bert::train_step_observed`] and
+//! [`Bert::evaluate`] run.
 //!
-//! The eager spine in [`crate::bert`] stays the reference semantics; this
-//! module *records* the same computation — embeddings, every transformer
+//! The recorder submits the computation — embeddings, every transformer
 //! layer, both output heads, the loss, the full backward chain, the
-//! gradient-observer boundaries — as named tasks with buffer provenance
-//! ([`AccessSet`]s over fresh dataflow tokens), then hands the graph to
-//! [`TaskGraph::run`]. Three properties carry over by construction:
+//! gradient-observer boundaries — as named tasks in program order, with
+//! buffer provenance ([`AccessSet`]s over fresh dataflow tokens), then hands
+//! the graph to [`TaskGraph::run`]. The FIFO order of every graph recorded
+//! here is its submission order, so a step executes in program order.
+//! Three properties follow:
 //!
-//! * **Bit identity.** Task bodies execute the *same* kernel calls the
-//!   eager path makes (the forward stages are literally shared functions,
-//!   [`crate::layer`]), every kernel cuts its pool chunks by shape alone,
+//! * **Bit identity.** Task bodies call the shared layer stages
+//!   ([`crate::layer`]), every kernel cuts its pool chunks by shape alone,
 //!   inside a task as outside one, and values move between tasks through
 //!   rendezvous cells — so losses, gradients and the merged trace are
-//!   bit-identical to eager at any worker count.
+//!   bit-identical at any worker count and at either task grain.
 //! * **Deterministic observer order.** The backward chain is serialized by
 //!   its `dy` dataflow, so gradient groups retire heads → layers (last to
-//!   first) → embeddings exactly as in eager execution, and
-//!   backward/AllReduce overlap ([`crate::defer`]) composes with graph
-//!   execution unchanged.
+//!   first) → embeddings, and backward/AllReduce overlap ([`crate::defer`])
+//!   hangs off that order.
 //! * **Verified fusion.** With [`crate::TrainOptions::fuse`], the recorded
 //!   graph passes through [`TaskGraph::fuse`] before running; the merge is
 //!   legal only where the dependence DAG proves a sole-successor chain
@@ -29,7 +30,9 @@
 //! Task grain defaults to one task per model unit ([`TaskGrain::Layer`]);
 //! [`TaskGrain::Op`] splits each layer's *forward* into its stages, which
 //! is the grain the fusion pass operates at. Checkpointed steps always
-//! record at layer grain — a recompute segment is inherently one unit.
+//! record at layer grain — a recompute segment is inherently one unit, and
+//! it reads the gradient entering its segment, so it runs just before that
+//! segment's backward rather than during the forward pass.
 
 use crate::bert::{
     top1_accuracy, Bert, EmbeddingActs, EvalOutput, HeadGrads, StepOutput, TaskGrain,
@@ -129,12 +132,9 @@ fn guarded<'s>(
     }
 }
 
-/// The layer context every graph task builds: nested kernel-group deferral
-/// is disabled (the whole-model graph subsumes the attention islands), and
-/// evaluation zeroes dropout exactly like the eager inference path.
+/// The layer context every graph task builds; evaluation zeroes dropout.
 fn graph_layer_ctx(this: &Bert, l: usize, eval: bool) -> LayerCtx {
     let mut lc = this.layer_ctx(l);
-    lc.attn.deferred = false;
     if eval {
         lc.dropout_p = 0.0;
         lc.attn.dropout_p = 0.0;
@@ -241,11 +241,12 @@ impl LayerPieces {
 
 /// Record one layer's forward at op grain: a task per stage, in the exact
 /// order `layer_fwd` executes them, so the merged trace stays identical to
-/// eager. In training the final LayerNorm task also assembles the saved
-/// [`LayerActivations`] from the stage cells — that assembly *reads* every
-/// stage output, which makes the intermediates multi-successor and lets the
-/// fusion legality check correctly refuse to merge them; the forward-only
-/// graph has no assembler and its FC1→GeLU / residual→LayerNorm pairs fuse.
+/// the layer-grain one. In training the final LayerNorm task also
+/// assembles the saved [`LayerActivations`] from the stage cells — that
+/// assembly *reads* every stage output, which makes the intermediates
+/// multi-successor and lets the fusion legality check correctly refuse to
+/// merge them; the forward-only graph has no assembler and its FC1→GeLU /
+/// residual→LayerNorm pairs fuse.
 #[allow(clippy::too_many_arguments)]
 fn submit_op_grain_layer<'s>(
     graph: &mut TaskGraph<'s>,
@@ -461,51 +462,6 @@ impl TrainStorage {
 }
 
 impl Bert {
-    /// Graph-mode [`Bert::train_step_observed`]: record the full step as a
-    /// task graph and execute it through the operator-graph scheduler.
-    pub(crate) fn train_step_graph(
-        &mut self,
-        tracer: &mut Tracer,
-        batch: &PretrainBatch,
-        observer: Option<&mut dyn GradObserver>,
-    ) -> Result<StepOutput> {
-        self.step += 1;
-        let seed0 = self.step * 1_000_003;
-        // The mask is untraced constant data (same as eager, where
-        // `attention_mask` records nothing): compute it before recording.
-        let mask = self.attention_mask(batch)?;
-        let (out, layer_grads, head_grads) =
-            run_train_graph(self, tracer, batch, &mask, seed0, observer)?;
-        self.layer_grads = layer_grads;
-        self.head_grads = Some(head_grads);
-        Ok(out)
-    }
-
-    /// Graph-mode [`Bert::evaluate`]: the forward-only pass recorded as a
-    /// task graph, with the fusion pass applied when
-    /// [`crate::TrainOptions::fuse`] is set.
-    pub(crate) fn evaluate_graph(
-        &self,
-        tracer: &mut Tracer,
-        batch: &PretrainBatch,
-    ) -> Result<EvalOutput> {
-        let mask = self.attention_mask(batch)?;
-        let st = EvalStorage::new(self);
-        let graph = build_eval_graph(self, batch, &mask, &st);
-        let _report = if self.opts.fuse {
-            let (fused, _plan) = graph.fuse(&fusion_patterns());
-            fused.run(tracer)
-        } else {
-            graph.run(tracer)
-        };
-        if let Some(e) = st.err.take() {
-            return Err(e);
-        }
-        let (mlm_loss, mlm_accuracy) = st.mlm_out.take().expect("mlm head retired");
-        let (nsp_loss, nsp_accuracy) = st.nsp_out.take().expect("nsp head retired");
-        Ok(EvalOutput { mlm_loss, nsp_loss, mlm_accuracy, nsp_accuracy })
-    }
-
     /// Record the forward-only graph for `batch` and plan — without
     /// executing any kernel — which task pairs the fusion pass would merge.
     /// This is the inspection surface the fusion tests and benchmarks pin:
@@ -528,7 +484,7 @@ impl Bert {
 /// throughout (task bodies capture `&Bert`); the caller applies the
 /// returned gradients to the model afterwards.
 #[allow(clippy::too_many_lines)]
-fn run_train_graph(
+pub(crate) fn run_train_graph(
     this: &Bert,
     tracer: &mut Tracer,
     batch: &PretrainBatch,
@@ -698,7 +654,7 @@ fn run_train_graph(
         }),
     );
 
-    // ---- Backward: heads (NSP first, as in eager program order) ----
+    // ---- Backward: heads (NSP first) ----
     graph.submit(
         "bwd.heads.nsp",
         AccessSet::new(&[st.b_nsp], &[st.b_nsp_bwd]),
@@ -833,7 +789,7 @@ fn run_train_graph(
                 d_cls_w: nsp.d_cls_w,
                 d_cls_b: nsp.d_cls_b,
             };
-            // The heads group retires here — first, exactly as in eager.
+            // The heads group retires here, before any layer's.
             if let Some(o) = obs.lock().expect("observer cell poisoned").as_deref_mut() {
                 o.group_ready(
                     5 + this.cfg.layers * 16,
@@ -888,9 +844,13 @@ fn run_train_graph(
             let end = (start + per_seg).min(layers);
             let seg = start / per_seg;
             let writes: Vec<BufId> = (start..end).map(|l| st.b_act[l]).collect();
+            // Reading the gradient entering the segment holds the recompute
+            // back until that segment's backward is next; reading only the
+            // checkpoint would let it run during the forward pass and keep
+            // its activations alive from then on.
             graph.submit(
                 format!("bwd.recompute.s{start}"),
-                AccessSet::new(&[st.b_seg[seg]], &writes),
+                AccessSet::new(&[st.b_seg[seg], st.b_dy[end]], &writes),
                 guarded(err, move |tr| {
                     let Some(mut xin) = st.segs[seg].take() else { return Ok(()) };
                     let mut tmp = Tracer::new();
@@ -907,10 +867,7 @@ fn run_train_graph(
                         st.acts[l].put(a);
                         xin = y;
                     }
-                    tr.extend(tmp.into_records().into_iter().map(|mut r| {
-                        r.phase = Phase::Recompute;
-                        r
-                    }));
+                    tr.merge(tmp, Some(Phase::Recompute));
                     Ok(())
                 }),
             );
@@ -1001,6 +958,30 @@ fn run_train_graph(
     Ok((StepOutput { loss: mlm_loss + nsp_loss, mlm_loss, nsp_loss }, layer_grads, head_grads))
 }
 
+/// Record and run the forward-only graph, with the fusion pass applied when
+/// [`crate::TrainOptions::fuse`] is set.
+pub(crate) fn run_eval_graph(
+    this: &Bert,
+    tracer: &mut Tracer,
+    batch: &PretrainBatch,
+    mask: &Tensor,
+) -> Result<EvalOutput> {
+    let st = EvalStorage::new(this);
+    let graph = build_eval_graph(this, batch, mask, &st);
+    let _report = if this.opts.fuse {
+        let (fused, _plan) = graph.fuse(&fusion_patterns());
+        fused.run(tracer)
+    } else {
+        graph.run(tracer)
+    };
+    if let Some(e) = st.err.take() {
+        return Err(e);
+    }
+    let (mlm_loss, mlm_accuracy) = st.mlm_out.take().expect("mlm head retired");
+    let (nsp_loss, nsp_accuracy) = st.nsp_out.take().expect("nsp head retired");
+    Ok(EvalOutput { mlm_loss, nsp_loss, mlm_accuracy, nsp_accuracy })
+}
+
 /// Rendezvous cells and dataflow tokens for one recorded inference pass.
 struct EvalStorage {
     x: Vec<Shared<Tensor>>,
@@ -1033,8 +1014,8 @@ impl EvalStorage {
     }
 }
 
-/// Record the forward-only graph (dropout disabled, no activations saved),
-/// mirroring the eager `evaluate` kernel sequence exactly.
+/// Record the forward-only graph: dropout disabled (its kernels still
+/// launch, with p = 0), no activations saved.
 fn build_eval_graph<'s>(
     this: &'s Bert,
     batch: &'s PretrainBatch,
@@ -1211,59 +1192,47 @@ mod tests {
     }
 
     #[test]
-    fn graph_step_is_bit_identical_to_eager() {
-        for grain in [TaskGrain::Layer, TaskGrain::Op] {
-            let (mut eager, batch) = setup(TrainOptions::default());
-            let (mut graphed, _) =
-                setup(TrainOptions { graph: true, grain, ..TrainOptions::default() });
-            let mut tr = Tracer::disabled();
-            let oe = eager.train_step(&mut tr, &batch).unwrap();
-            let og = graphed.train_step(&mut tr, &batch).unwrap();
-            assert_eq!(oe.loss.to_bits(), og.loss.to_bits(), "{grain:?}");
-            assert_eq!(oe.mlm_loss.to_bits(), og.mlm_loss.to_bits());
-            assert_eq!(oe.nsp_loss.to_bits(), og.nsp_loss.to_bits());
-            let (ge, gg) = (grads_of(&mut eager), grads_of(&mut graphed));
-            for (a, b) in ge.iter().zip(&gg) {
-                assert_eq!(a.as_slice(), b.as_slice(), "{grain:?} gradient mismatch");
-            }
+    fn op_grain_step_is_bit_identical_to_layer_grain() {
+        let (mut layer, batch) = setup(TrainOptions::default());
+        let (mut op, _) = setup(TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() });
+        let mut tr = Tracer::disabled();
+        let ol = layer.train_step(&mut tr, &batch).unwrap();
+        let oo = op.train_step(&mut tr, &batch).unwrap();
+        assert_eq!(ol.loss.to_bits(), oo.loss.to_bits());
+        assert_eq!(ol.mlm_loss.to_bits(), oo.mlm_loss.to_bits());
+        assert_eq!(ol.nsp_loss.to_bits(), oo.nsp_loss.to_bits());
+        for (a, b) in grads_of(&mut layer).iter().zip(&grads_of(&mut op)) {
+            assert_eq!(a.as_slice(), b.as_slice(), "op-grain gradient mismatch");
         }
     }
 
     #[test]
-    fn checkpointed_graph_step_matches_eager_checkpointed() {
+    fn checkpointed_step_records_at_layer_grain_even_when_op_grain_is_asked() {
         let opts = TrainOptions { checkpoint: true, ..TrainOptions::default() };
-        let (mut eager, batch) = setup(opts);
-        // Op grain is requested but checkpointing forces layer grain.
-        let (mut graphed, _) = setup(TrainOptions {
-            graph: true,
-            grain: TaskGrain::Op,
-            checkpoint: true,
-            ..TrainOptions::default()
-        });
-        let mut tr_e = Tracer::new();
-        let mut tr_g = Tracer::new();
-        let oe = eager.train_step(&mut tr_e, &batch).unwrap();
-        let og = graphed.train_step(&mut tr_g, &batch).unwrap();
-        assert_eq!(oe.loss.to_bits(), og.loss.to_bits());
-        assert_eq!(tr_e.kernel_count(), tr_g.kernel_count());
-        assert!(tr_g.records().iter().any(|r| r.phase == Phase::Recompute));
-        for (a, b) in grads_of(&mut eager).iter().zip(&grads_of(&mut graphed)) {
+        let (mut layer, batch) = setup(opts);
+        let (mut op, _) = setup(TrainOptions { grain: TaskGrain::Op, ..opts });
+        let mut tr_l = Tracer::new();
+        let mut tr_o = Tracer::new();
+        let ol = layer.train_step(&mut tr_l, &batch).unwrap();
+        let oo = op.train_step(&mut tr_o, &batch).unwrap();
+        assert_eq!(ol.loss.to_bits(), oo.loss.to_bits());
+        assert_eq!(tr_l.kernel_count(), tr_o.kernel_count());
+        assert!(tr_o.records().iter().any(|r| r.phase == Phase::Recompute));
+        for (a, b) in grads_of(&mut layer).iter().zip(&grads_of(&mut op)) {
             assert_eq!(a.as_slice(), b.as_slice());
         }
     }
 
     #[test]
-    fn graph_evaluate_matches_eager_with_and_without_fusion() {
-        let (eager, batch) = setup(TrainOptions::default());
+    fn op_grain_evaluate_matches_layer_grain_with_and_without_fusion() {
+        let (layer, batch) = setup(TrainOptions::default());
         let mut tr = Tracer::disabled();
-        let base = eager.evaluate(&mut tr, &batch).unwrap();
-        for (grain, fuse) in
-            [(TaskGrain::Layer, false), (TaskGrain::Op, false), (TaskGrain::Op, true)]
-        {
-            let (graphed, _) =
-                setup(TrainOptions { graph: true, grain, fuse, ..TrainOptions::default() });
-            let out = graphed.evaluate(&mut tr, &batch).unwrap();
-            assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits(), "{grain:?} fuse={fuse}");
+        let base = layer.evaluate(&mut tr, &batch).unwrap();
+        for fuse in [false, true] {
+            let (op, _) =
+                setup(TrainOptions { grain: TaskGrain::Op, fuse, ..TrainOptions::default() });
+            let out = op.evaluate(&mut tr, &batch).unwrap();
+            assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits(), "fuse={fuse}");
             assert_eq!(base.nsp_loss.to_bits(), out.nsp_loss.to_bits());
             assert_eq!(base.mlm_accuracy.to_bits(), out.mlm_accuracy.to_bits());
             assert_eq!(base.nsp_accuracy.to_bits(), out.nsp_accuracy.to_bits());
@@ -1272,12 +1241,8 @@ mod tests {
 
     #[test]
     fn eval_fusion_plan_merges_both_patterns_per_layer() {
-        let (bert, batch) = setup(TrainOptions {
-            graph: true,
-            grain: TaskGrain::Op,
-            fuse: true,
-            ..TrainOptions::default()
-        });
+        let (bert, batch) =
+            setup(TrainOptions { grain: TaskGrain::Op, fuse: true, ..TrainOptions::default() });
         let plan = bert.plan_eval_fusion(&batch).unwrap();
         // Per layer: fc1+gelu, residual1+layernorm1, residual2+layernorm2.
         let layers = bert.config().layers;
@@ -1285,12 +1250,12 @@ mod tests {
         let merged: Vec<&Vec<usize>> = plan.groups.iter().filter(|g| g.len() > 1).collect();
         assert_eq!(merged.len(), 3 * layers);
         // Layer grain has nothing to fuse.
-        let (coarse, _) = setup(TrainOptions { graph: true, ..TrainOptions::default() });
+        let (coarse, _) = setup(TrainOptions::default());
         assert_eq!(coarse.plan_eval_fusion(&batch).unwrap().pairs_merged(), 0);
     }
 
     #[test]
-    fn graph_mode_observer_order_matches_eager() {
+    fn observer_sees_heads_then_layers_last_to_first_then_embeddings() {
         #[derive(Default)]
         struct Record(Vec<usize>);
         impl GradObserver for Record {
@@ -1298,14 +1263,19 @@ mod tests {
                 self.0.push(base_slot);
             }
         }
-        let (mut eager, batch) = setup(TrainOptions::default());
-        let (mut graphed, _) = setup(TrainOptions { graph: true, ..TrainOptions::default() });
-        let mut tr = Tracer::disabled();
-        let mut oe = Record::default();
-        let mut og = Record::default();
-        eager.train_step_observed(&mut tr, &batch, Some(&mut oe)).unwrap();
-        graphed.train_step_observed(&mut tr, &batch, Some(&mut og)).unwrap();
-        assert!(!oe.0.is_empty());
-        assert_eq!(oe.0, og.0, "group retirement order must match eager");
+        for opts in [
+            TrainOptions::default(),
+            TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() },
+            TrainOptions { checkpoint: true, ..TrainOptions::default() },
+        ] {
+            let (mut bert, batch) = setup(opts);
+            let layers = bert.config().layers;
+            let mut seen = Record::default();
+            bert.train_step_observed(&mut Tracer::disabled(), &batch, Some(&mut seen)).unwrap();
+            let mut expected = vec![5 + layers * 16];
+            expected.extend((0..layers).rev().map(|l| 5 + l * 16));
+            expected.push(0);
+            assert_eq!(seen.0, expected, "group retirement order under {opts:?}");
+        }
     }
 }

@@ -37,7 +37,6 @@ impl LayerCtx {
         dropout_p: f32,
         fused_qkv: bool,
         fused_epilogue: bool,
-        deferred: bool,
     ) -> Self {
         LayerCtx {
             attn: AttentionConfig {
@@ -48,9 +47,9 @@ impl LayerCtx {
                 dropout_p,
                 fused_qkv,
                 fused_epilogue,
-                deferred,
                 dtype,
                 layer,
+                ..AttentionConfig::default()
             },
             d_ff: cfg.d_ff,
             dropout_p,
@@ -392,7 +391,7 @@ mod tests {
 
     fn setup() -> (BertConfig, LayerCtx, LayerParams, Tensor) {
         let cfg = BertConfig::tiny();
-        let lc = LayerCtx::new(&cfg, 0, DType::F32, 0.0, false, false, false);
+        let lc = LayerCtx::new(&cfg, 0, DType::F32, 0.0, false, false);
         let mut rng = StdRng::seed_from_u64(42);
         let p = LayerParams::init(&mut rng, &cfg);
         let x = randn(&mut rng, &[cfg.tokens(), cfg.d_model], 1.0);
@@ -458,7 +457,7 @@ mod tests {
     #[test]
     fn fused_epilogue_layer_matches_unfused_bitwise_with_fewer_kernels() {
         let (cfg, lc, p, x) = setup();
-        let lc_fused = LayerCtx::new(&cfg, 0, DType::F32, 0.0, false, true, false);
+        let lc_fused = LayerCtx::new(&cfg, 0, DType::F32, 0.0, false, true);
         let mask = {
             let mut rng = StdRng::seed_from_u64(9);
             randn(&mut rng, &[cfg.batch * cfg.heads, cfg.seq_len, cfg.seq_len], 1.0)
@@ -498,7 +497,7 @@ mod tests {
     #[test]
     fn half_precision_layer_runs_and_stays_finite() {
         let (cfg, _, p, x) = setup();
-        let lc = LayerCtx::new(&cfg, 0, DType::F16, 0.0, false, false, false);
+        let lc = LayerCtx::new(&cfg, 0, DType::F16, 0.0, false, false);
         let p16 = p.to_dtype(DType::F16);
         let x16 = x.to_dtype(DType::F16);
         let mut tr = Tracer::new();

@@ -1,14 +1,15 @@
-//! Whole-model task-graph execution, verified from the outside: recording
-//! the full training step (and the inference pass) as a scheduled DAG must
-//! change *when* work runs, never *what* it computes — at any worker
-//! count, at either task grain, and with the fusion pass on.
+//! Task-graph execution, verified from the outside: every training step
+//! and inference pass is recorded as a DAG and run through the scheduler,
+//! which must run it in program order and compute the same bits at any
+//! worker count, at either task grain, checkpointed, and with the fusion
+//! passes on. The reference is the layer-grain step at one thread.
 //!
 //! The fusion pass itself is pinned through `Bert::plan_eval_fusion`: at
 //! op grain the plan must merge both legal patterns (FC1→GeLU and
 //! residual→LayerNorm), and at layer grain it must merge nothing.
 
 use bertscope_model::BertConfig;
-use bertscope_tensor::{pool, Tracer};
+use bertscope_tensor::{pool, sched, Tracer};
 use bertscope_train::{Bert, Lamb, SyntheticCorpus, TaskGrain, TrainOptions, Trainer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,6 +31,21 @@ fn configs() -> Vec<BertConfig> {
             batch: 3,
         },
     ]
+}
+
+/// The 8-layer miniature the memory-profile suite measures: checkpointing
+/// splits it into three recompute segments.
+fn eight_layer() -> BertConfig {
+    BertConfig {
+        layers: 8,
+        d_model: 64,
+        heads: 4,
+        d_ff: 256,
+        vocab: 211,
+        max_position: 48,
+        seq_len: 32,
+        batch: 4,
+    }
 }
 
 /// Run a few optimizer updates and return every loss and parameter bit.
@@ -55,80 +71,119 @@ fn run_training(cfg: BertConfig, opts: TrainOptions) -> (Vec<u32>, Vec<u32>) {
     (losses, params)
 }
 
-/// The tentpole bit-identity claim: for two configurations, the micro-step
-/// driven through the whole-model task graph (Trainer + LAMB included)
-/// leaves exactly the losses and parameter bits of the eager 1-thread
-/// reference, at 1, 2 and 8 worker threads.
+/// The bit-identity claim across pool sizes: for two configurations, the
+/// micro-step (Trainer + LAMB included) recorded at either grain leaves
+/// exactly the losses and parameter bits of the layer-grain 1-thread
+/// reference — the step run in program order on one thread — at 1, 2 and
+/// 8 worker threads.
 #[test]
 fn graph_training_is_bit_identical_to_eager_across_threads_and_configs() {
     for cfg in configs() {
         let base = pool::with_threads(1, || run_training(cfg, TrainOptions::default()));
         for threads in [1usize, 2, 8] {
-            let graphed = pool::with_threads(threads, || {
-                run_training(cfg, TrainOptions { graph: true, ..TrainOptions::default() })
-            });
-            assert_eq!(
-                graphed, base,
-                "graph-mode training diverged from eager at {threads} threads \
-                 ({} layers, d_model {})",
-                cfg.layers, cfg.d_model
-            );
+            for grain in [TaskGrain::Layer, TaskGrain::Op] {
+                let opts = TrainOptions { grain, ..TrainOptions::default() };
+                let run = pool::with_threads(threads, || run_training(cfg, opts));
+                assert_eq!(
+                    run, base,
+                    "training at {grain:?} grain diverged from the 1-thread reference at \
+                     {threads} threads ({} layers, d_model {})",
+                    cfg.layers, cfg.d_model
+                );
+            }
         }
     }
 }
 
-/// Op-grain recording (one task per forward stage) computes the same bits
-/// as eager; checkpointing composes too (it forces layer grain for the
-/// recompute segments).
+/// Op-grain recording (one task per forward stage), checkpointing (which
+/// recomputes each segment's forward from its checkpoint) and fused
+/// epilogues all compute the bits of the layer-grain 1-thread reference.
 #[test]
 fn op_grain_and_checkpointed_graph_training_match_eager() {
     let cfg = BertConfig::tiny();
     let variants = [
-        TrainOptions { graph: true, grain: TaskGrain::Op, ..TrainOptions::default() },
-        TrainOptions { graph: true, checkpoint: true, ..TrainOptions::default() },
+        TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() },
+        TrainOptions { checkpoint: true, ..TrainOptions::default() },
+        TrainOptions { checkpoint: true, grain: TaskGrain::Op, ..TrainOptions::default() },
+        TrainOptions { fused_epilogue: true, ..TrainOptions::default() },
     ];
-    let eager_plain = pool::with_threads(1, || run_training(cfg, TrainOptions::default()));
-    let eager_ckpt = pool::with_threads(1, || {
-        run_training(cfg, TrainOptions { checkpoint: true, ..TrainOptions::default() })
-    });
+    let reference = pool::with_threads(1, || run_training(cfg, TrainOptions::default()));
     for opts in variants {
-        let reference = if opts.checkpoint { &eager_ckpt } else { &eager_plain };
         for threads in [1usize, 2, 8] {
-            let graphed = pool::with_threads(threads, || run_training(cfg, opts));
+            let run = pool::with_threads(threads, || run_training(cfg, opts));
             assert_eq!(
-                &graphed, reference,
-                "graph variant (grain {:?}, checkpoint {}) diverged at {threads} threads",
-                opts.grain, opts.checkpoint
+                run, reference,
+                "variant (grain {:?}, checkpoint {}, fused epilogue {}) diverged at \
+                 {threads} threads",
+                opts.grain, opts.checkpoint, opts.fused_epilogue
             );
         }
     }
 }
 
-/// Inference through the fused graph: the fusion pass merges task pairs
-/// but every loss and accuracy bit matches the eager evaluation, at every
-/// thread count.
+/// Inference through the op-grain graph, fused and unfused: the fusion
+/// pass merges task pairs but every loss and accuracy bit matches the
+/// layer-grain 1-thread evaluation, at every thread count.
 #[test]
 fn fused_graph_evaluation_matches_eager_across_threads() {
     let cfg = BertConfig::tiny();
     let corpus = SyntheticCorpus::new(cfg.vocab);
     let mut rng = StdRng::seed_from_u64(23);
     let batch = corpus.generate_batch(&mut rng, &cfg);
-    let eager = Bert::new(cfg, TrainOptions::default(), 9);
-    let mut tr = Tracer::disabled();
-    let base = eager.evaluate(&mut tr, &batch).expect("eager evaluate");
+    let layer = Bert::new(cfg, TrainOptions::default(), 9);
+    let base = pool::with_threads(1, || {
+        layer.evaluate(&mut Tracer::disabled(), &batch).expect("layer-grain evaluate")
+    });
     for threads in [1usize, 2, 8] {
         for fuse in [false, true] {
-            let opts =
-                TrainOptions { graph: true, grain: TaskGrain::Op, fuse, ..TrainOptions::default() };
-            let graphed = Bert::new(cfg, opts, 9);
+            let opts = TrainOptions { grain: TaskGrain::Op, fuse, ..TrainOptions::default() };
+            let op = Bert::new(cfg, opts, 9);
             let out = pool::with_threads(threads, || {
-                let mut tr = Tracer::disabled();
-                graphed.evaluate(&mut tr, &batch).expect("graph evaluate")
+                op.evaluate(&mut Tracer::disabled(), &batch).expect("op-grain evaluate")
             });
             assert_eq!(base.mlm_loss.to_bits(), out.mlm_loss.to_bits(), "fuse={fuse}");
             assert_eq!(base.nsp_loss.to_bits(), out.nsp_loss.to_bits(), "fuse={fuse}");
             assert_eq!(base.mlm_accuracy.to_bits(), out.mlm_accuracy.to_bits(), "fuse={fuse}");
             assert_eq!(base.nsp_accuracy.to_bits(), out.nsp_accuracy.to_bits(), "fuse={fuse}");
+        }
+    }
+}
+
+/// Every graph a training step or an evaluation records runs in the order
+/// it was submitted — program order. In particular a checkpointed step's
+/// recompute runs just before its segment's backward, not during the
+/// forward pass, where it would hold the recomputed activations from then
+/// on.
+#[test]
+fn every_recorded_graph_runs_in_submission_order() {
+    let variants = [
+        TrainOptions::default(),
+        TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() },
+        TrainOptions { checkpoint: true, ..TrainOptions::default() },
+        TrainOptions { grain: TaskGrain::Op, fuse: true, ..TrainOptions::default() },
+        TrainOptions { fused_epilogue: true, ..TrainOptions::default() },
+    ];
+    for cfg in [BertConfig::tiny(), eight_layer()] {
+        let corpus = SyntheticCorpus::new(cfg.vocab);
+        let mut rng = StdRng::seed_from_u64(31);
+        let batch = corpus.generate_batch(&mut rng, &cfg);
+        for opts in variants {
+            let mut bert = Bert::new(cfg, opts, 9);
+            sched::start_capture();
+            bert.train_step(&mut Tracer::disabled(), &batch).expect("train step");
+            bert.evaluate(&mut Tracer::disabled(), &batch).expect("evaluate");
+            let runs = sched::take_captured();
+            assert_eq!(runs.len(), 2, "one graph per step and one per evaluation");
+            for (run, what) in runs.iter().zip(["train_step", "evaluate"]) {
+                let submitted: Vec<usize> = (0..run.labels.len()).collect();
+                let order: Vec<&str> =
+                    run.completion_order.iter().map(|&t| run.labels[t].as_str()).collect();
+                assert_eq!(
+                    run.completion_order, submitted,
+                    "{what} ({} layers, {opts:?}) ran out of submission order: {order:?}",
+                    cfg.layers
+                );
+            }
         }
     }
 }
@@ -142,8 +197,7 @@ fn eval_fusion_plan_pins_both_patterns() {
     let corpus = SyntheticCorpus::new(cfg.vocab);
     let mut rng = StdRng::seed_from_u64(29);
     let batch = corpus.generate_batch(&mut rng, &cfg);
-    let opts =
-        TrainOptions { graph: true, grain: TaskGrain::Op, fuse: true, ..TrainOptions::default() };
+    let opts = TrainOptions { grain: TaskGrain::Op, fuse: true, ..TrainOptions::default() };
     let bert = Bert::new(cfg, opts, 9);
     let plan = bert.plan_eval_fusion(&batch).expect("fusion plan");
     // fc1+gelu, residual1+layernorm1, residual2+layernorm2 per layer.
@@ -158,7 +212,7 @@ fn eval_fusion_plan_pins_both_patterns() {
         "residual+LayerNorm pattern missing: {:?}",
         plan.fused
     );
-    let coarse = Bert::new(cfg, TrainOptions { graph: true, ..TrainOptions::default() }, 9);
+    let coarse = Bert::new(cfg, TrainOptions::default(), 9);
     assert_eq!(
         coarse.plan_eval_fusion(&batch).expect("coarse plan").pairs_merged(),
         0,

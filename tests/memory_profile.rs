@@ -1,7 +1,8 @@
 //! Measured memory profile: cross-validation of the pooled allocator's
 //! live-byte accounting against the analytical footprint model, the
-//! paper-§4 checkpointing claim on *measured* bytes, and determinism of
-//! the profile across worker-pool sizes.
+//! paper-§4 checkpointing claim on *measured* bytes, agreement of the
+//! traced profile with the allocator's own high-water mark, and
+//! determinism of the profile across worker-pool sizes.
 //!
 //! Every test here reads the allocator's process-global live-byte counter
 //! through `Tracer` samples, so the tests serialize on one mutex — a
@@ -11,7 +12,7 @@ use bertscope::memory_profile_json;
 use bertscope_check::check_memory;
 use bertscope_model::{checkpoint_segments, parameter_count, BertConfig, GraphOptions, Precision};
 use bertscope_sim::memory::{footprint, measured_to_model_ratio};
-use bertscope_tensor::{pool, MemoryProfile, Tracer};
+use bertscope_tensor::{alloc, pool, MemoryProfile, Tracer};
 use bertscope_train::{Bert, Lamb, SyntheticCorpus, TrainOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,8 +41,10 @@ fn eight_layer() -> BertConfig {
 
 /// Run one warmup step (so gradients, LAMB moments and master weights are
 /// resident) and then one traced step + optimizer update from training
-/// steady state. Returns the measured profile and the step's loss.
-fn traced_steady_step(cfg: BertConfig, opts: TrainOptions) -> (MemoryProfile, f32) {
+/// steady state. Returns the measured profile, the step's loss, and the
+/// allocator's own peak over the traced region in bytes above the
+/// tracer's baseline.
+fn traced_steady_step(cfg: BertConfig, opts: TrainOptions) -> (MemoryProfile, f32, u64) {
     let corpus = SyntheticCorpus::new(cfg.vocab);
     let mut rng = StdRng::seed_from_u64(11);
     let mut bert = Bert::new(cfg, opts, 42);
@@ -54,20 +57,41 @@ fn traced_steady_step(cfg: BertConfig, opts: TrainOptions) -> (MemoryProfile, f3
         opt.step(&mut quiet, &mut slots);
     }
     let mut tracer = Tracer::new();
+    alloc::reset_peak();
     let out = bert.train_step(&mut tracer, &batch).expect("traced step");
     {
         let mut slots = bert.param_slots();
         opt.step(&mut tracer, &mut slots);
     }
-    (tracer.memory_profile(), out.loss)
+    let allocator_peak =
+        alloc::stats().peak_bytes.saturating_sub(tracer.baseline_bytes().max(0).unsigned_abs());
+    (tracer.memory_profile(), out.loss, allocator_peak)
+}
+
+#[test]
+fn traced_peak_matches_the_allocator_peak() {
+    let _g = lock();
+    // The tracer samples live bytes after every op, inside the task that
+    // ran it, so its peak sees the step's high-water mark: within 5% of
+    // the allocator's, which also counts transient kernel scratch between
+    // samples.
+    for checkpoint in [false, true] {
+        let opts = TrainOptions { checkpoint, ..TrainOptions::default() };
+        let (profile, _, allocator) = traced_steady_step(eight_layer(), opts);
+        let traced = profile.peak_over_baseline();
+        assert!(
+            traced as f64 >= 0.95 * allocator as f64 && traced <= allocator,
+            "checkpoint={checkpoint}: traced peak {traced} B vs allocator peak {allocator} B"
+        );
+    }
 }
 
 #[test]
 fn checkpointing_reduces_the_measured_activation_peak() {
     let _g = lock();
     let cfg = eight_layer();
-    let (plain, _) = traced_steady_step(cfg, TrainOptions::default());
-    let (ck, _) =
+    let (plain, _, _) = traced_steady_step(cfg, TrainOptions::default());
+    let (ck, _, _) =
         traced_steady_step(cfg, TrainOptions { checkpoint: true, ..TrainOptions::default() });
 
     // Paper §4 on measured bytes: recomputing from sqrt(N) segment
@@ -104,7 +128,7 @@ fn measured_peak_matches_the_footprint_model() {
     // f32, so Fp32 is the precision whose footprint the allocator can
     // reproduce byte-for-byte).
     for cfg in [BertConfig::tiny(), eight_layer()] {
-        let (profile, _) = traced_steady_step(cfg, TrainOptions::default());
+        let (profile, _, _) = traced_steady_step(cfg, TrainOptions::default());
         let modeled = footprint(
             &cfg,
             &GraphOptions { precision: Precision::Fp32, ..GraphOptions::default() },
@@ -134,9 +158,9 @@ fn measured_peak_matches_the_footprint_model() {
 fn memory_profile_is_identical_across_thread_counts() {
     let _g = lock();
     let run = || traced_steady_step(BertConfig::tiny(), TrainOptions::default());
-    let (base_profile, base_loss) = pool::with_threads(1, run);
+    let (base_profile, base_loss, _) = pool::with_threads(1, run);
     for threads in [2usize, 8] {
-        let (profile, loss) = pool::with_threads(threads, run);
+        let (profile, loss, _) = pool::with_threads(threads, run);
         assert_eq!(
             base_loss.to_bits(),
             loss.to_bits(),
@@ -151,7 +175,7 @@ fn memory_profile_is_identical_across_thread_counts() {
 fn traced_step_passes_the_m001_memory_lint() {
     let _g = lock();
     let cfg = eight_layer();
-    let (profile, _) = traced_steady_step(cfg, TrainOptions::default());
+    let (profile, _, _) = traced_steady_step(cfg, TrainOptions::default());
     // The peak of a steady-state training step must cover at least the
     // resident f32 weights + gradients.
     let resident_lower_bound = 2 * parameter_count(&cfg) * 4;

@@ -1,4 +1,4 @@
-//! Property tests for the deferred operator-graph scheduler: randomly
+//! Property tests for the operator-graph scheduler: randomly
 //! generated task DAGs executed at 1, 2 and 8 worker threads must leave
 //! bit-identical buffer contents, every completion order the executor
 //! emits must be the one-worker `sched::plan_order` (the orders

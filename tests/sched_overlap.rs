@@ -1,12 +1,14 @@
-//! Backward/AllReduce overlap, verified from the outside: the deferred
-//! scheduler must change *when* work runs, never *what* it computes, and
-//! the optimizer must provably wait for each gradient bucket's collective.
+//! Backward/AllReduce overlap, verified from the outside: the recorded
+//! step must compute the same bits however it is split into tasks and
+//! however many worker threads run its kernels, and the optimizer must
+//! provably wait for each gradient bucket's collective.
 //!
 //! Two angles:
 //!
-//! * the deferred micro-step is bit-identical to the eager one at 1, 2 and
-//!   8 worker threads — the scheduler reorders work without touching
-//!   numerics;
+//! * op-grain, checkpointed and fused-epilogue micro-steps leave the
+//!   parameter bits of the layer-grain 1-thread reference at 1, 2 and 8
+//!   worker threads, and fire the same buckets in the same order with the
+//!   same payloads;
 //! * a live overlapped trace (observer-fired buckets, per-bucket `Comm`
 //!   ops, presynced close) passes the H005 communication contract — no
 //!   update-phase op reads a gradient buffer before the bucket collective
@@ -19,7 +21,7 @@ use bertscope_tensor::{
     pool, AccessSet, BufId, Category, DType, OpKind, OpRecord, Phase, Tensor, Tracer,
 };
 use bertscope_train::{
-    Bert, BucketSink, BucketedAverager, Lamb, SyntheticCorpus, TrainOptions, Trainer,
+    Bert, BucketSink, BucketedAverager, Lamb, SyntheticCorpus, TaskGrain, TrainOptions, Trainer,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -64,78 +66,73 @@ fn run_params_with(opts: TrainOptions) -> Vec<u32> {
     param_bits(&mut bert)
 }
 
-fn run_params(deferred: bool) -> Vec<u32> {
-    run_params_with(TrainOptions { deferred, ..TrainOptions::default() })
+/// The layer-grain step and the ways of splitting and running it that must
+/// not change its bits: op-grain tasks, checkpointed recomputation, fused
+/// epilogues.
+fn variants() -> [TrainOptions; 4] {
+    [
+        TrainOptions::default(),
+        TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() },
+        TrainOptions { checkpoint: true, ..TrainOptions::default() },
+        TrainOptions { fused_epilogue: true, ..TrainOptions::default() },
+    ]
 }
 
-/// Deferred execution is a scheduling change only: at every thread count
-/// the deferred micro-step leaves the exact parameter bits the eager
-/// 1-thread reference run does.
-#[test]
-fn deferred_micro_step_is_bit_identical_to_eager_across_threads() {
-    let base = pool::with_threads(1, || run_params(false));
-    for threads in [1usize, 2, 8] {
-        let deferred = pool::with_threads(threads, || run_params(true));
-        assert_eq!(
-            deferred, base,
-            "deferred micro-step diverged from the eager reference at {threads} threads"
-        );
-    }
-}
-
-/// Whole-model task-graph execution composes with the overlap machinery:
-/// recording the full step as a DAG (with and without the deferred flag
-/// that the distributed worker pairs it with) leaves the exact parameter
-/// bits of the eager 1-thread reference at every thread count.
+/// Every variant's micro-steps leave the exact parameter bits of the
+/// layer-grain 1-thread reference at 1, 2 and 8 worker threads.
 #[test]
 fn graph_micro_step_is_bit_identical_to_eager_across_threads() {
-    let base = pool::with_threads(1, || run_params(false));
+    let base = pool::with_threads(1, || run_params_with(TrainOptions::default()));
     for threads in [1usize, 2, 8] {
-        for deferred in [false, true] {
-            let graphed = pool::with_threads(threads, || {
-                run_params_with(TrainOptions { graph: true, deferred, ..TrainOptions::default() })
-            });
-            assert_eq!(
-                graphed, base,
-                "graph-mode micro-step diverged at {threads} threads (deferred={deferred})"
-            );
+        for opts in variants() {
+            let run = pool::with_threads(threads, || run_params_with(opts));
+            assert_eq!(run, base, "micro-step diverged at {threads} threads under {opts:?}");
         }
     }
 }
 
-/// Under graph execution the observer fires from inside backward tasks,
-/// but the dy dataflow serializes the chain — so the bucket sequence (and
-/// every payload) must be exactly the eager one. This is the precondition
-/// for ring collectives: all ranks enter bucket AllReduces in one order.
+/// Fire one observed micro-step's buckets: `(bucket, range, payload)` in
+/// firing order.
+fn fire(opts: TrainOptions) -> Vec<(usize, Range<usize>, Vec<f32>)> {
+    let cfg = small_cfg();
+    let corpus = SyntheticCorpus::new(cfg.vocab);
+    let mut rng = StdRng::seed_from_u64(13);
+    let batch = corpus.generate_batch(&mut rng, &cfg);
+    let mut bert = Bert::new(cfg, opts, 3);
+    let mut trainer = Trainer::new(Lamb::new(0.01), 1);
+    let lens: Vec<usize> =
+        bert.param_values_mut().iter().map(|(_, t)| t.as_slice().len()).collect();
+    let mut averager = BucketedAverager::new(&lens, 4096, Collect::default());
+    let mut tracer = Tracer::disabled();
+    trainer
+        .micro_step_observed(&mut tracer, &mut bert, &batch, &mut averager)
+        .expect("observed micro step");
+    averager.into_sink().fired
+}
+
+/// The observer fires from inside backward tasks, but the dy dataflow
+/// serializes the chain — so under every variant and at every thread
+/// count the bucket sequence (and every payload) must be exactly the
+/// layer-grain 1-thread one. This is the precondition for ring
+/// collectives: all ranks enter bucket AllReduces in one order.
 #[test]
 fn graph_mode_buckets_fire_in_eager_order() {
-    let fire = |graph: bool| {
-        let cfg = small_cfg();
-        let corpus = SyntheticCorpus::new(cfg.vocab);
-        let mut rng = StdRng::seed_from_u64(13);
-        let batch = corpus.generate_batch(&mut rng, &cfg);
-        let opts = TrainOptions { graph, ..TrainOptions::default() };
-        let mut bert = Bert::new(cfg, opts, 3);
-        let mut trainer = Trainer::new(Lamb::new(0.01), 1);
-        let lens: Vec<usize> =
-            bert.param_values_mut().iter().map(|(_, t)| t.as_slice().len()).collect();
-        let mut averager = BucketedAverager::new(&lens, 4096, Collect::default());
-        let mut tracer = Tracer::disabled();
-        trainer
-            .micro_step_observed(&mut tracer, &mut bert, &batch, &mut averager)
-            .expect("observed micro step");
-        averager.into_sink().fired
-    };
-    let eager = fire(false);
-    let graphed = fire(true);
-    assert!(!eager.is_empty(), "buckets must fire");
-    assert_eq!(eager.len(), graphed.len());
-    for (e, g) in eager.iter().zip(&graphed) {
-        assert_eq!(e.0, g.0, "bucket order diverged");
-        assert_eq!(e.1, g.1, "bucket range diverged");
-        let (eb, gb): (Vec<u32>, Vec<u32>) =
-            (e.2.iter().map(|v| v.to_bits()).collect(), g.2.iter().map(|v| v.to_bits()).collect());
-        assert_eq!(eb, gb, "bucket {} payload diverged bitwise", e.0);
+    let base = pool::with_threads(1, || fire(TrainOptions::default()));
+    assert!(!base.is_empty(), "buckets must fire");
+    for threads in [1usize, 2, 8] {
+        for opts in variants() {
+            let run = pool::with_threads(threads, || fire(opts));
+            assert_eq!(base.len(), run.len(), "{opts:?} at {threads} threads");
+            for (e, g) in base.iter().zip(&run) {
+                assert_eq!(e.0, g.0, "bucket order diverged under {opts:?}");
+                assert_eq!(e.1, g.1, "bucket range diverged under {opts:?}");
+                let (eb, gb): (Vec<u32>, Vec<u32>) = (
+                    e.2.iter().map(|v| v.to_bits()).collect(),
+                    g.2.iter().map(|v| v.to_bits()).collect(),
+                );
+                assert_eq!(eb, gb, "bucket {} payload diverged bitwise under {opts:?}", e.0);
+            }
+        }
     }
 }
 
@@ -162,8 +159,7 @@ fn optimizer_never_starts_before_its_buckets_allreduce_retires() {
     let corpus = SyntheticCorpus::new(cfg.vocab);
     let mut rng = StdRng::seed_from_u64(13);
     let batch = corpus.generate_batch(&mut rng, &cfg);
-    let opts = TrainOptions { deferred: true, ..TrainOptions::default() };
-    let mut bert = Bert::new(cfg, opts, 3);
+    let mut bert = Bert::new(cfg, TrainOptions::default(), 3);
     let mut trainer = Trainer::new(Lamb::new(0.01), 1);
     let mut tracer = Tracer::new();
 

@@ -147,46 +147,52 @@ fn a_wider_deeper_config_also_matches() {
     compare(cfg, TrainOptions::default(), graph_opts(Precision::Fp32, false, false));
 }
 
-/// The graph-mode projection of a record: everything except buffer
-/// provenance. Whole-model task-graph execution passes values between
-/// tasks through rendezvous clones, which deep-copy into fresh buffers, so
-/// access-set buffer ids legitimately differ from the eager run's; every
-/// other facet of the stream — names, kinds, phases, layer attribution,
-/// GEMM specs, FLOP/byte counts, dtypes — must be identical, in order.
-fn graph_mode_sig(op: &OpRecord) -> (String, Option<usize>, Sig) {
+/// A record minus its buffer provenance: buffer ids are fresh in every
+/// run, so two runs of one step agree on everything else — names, kinds,
+/// phases, layer attribution, GEMM specs, FLOP/byte counts, dtypes — in
+/// order.
+fn run_independent_sig(op: &OpRecord) -> (String, Option<usize>, Sig) {
     (op.name.clone(), op.layer, signature(op))
 }
 
-/// Whole-model task-graph execution (`TrainOptions::graph`), replayed into
-/// the tracer in program (submission) order, must produce the same op
-/// stream the eager spine records.
-fn graph_trace_matches_eager(opts: TrainOptions) {
+fn traced_step(opts: TrainOptions) -> Vec<OpRecord> {
     let cfg = BertConfig::tiny();
     let corpus = SyntheticCorpus::new(cfg.vocab);
     let mut rng = StdRng::seed_from_u64(7);
     let batch = corpus.generate_batch(&mut rng, &cfg);
-    let mut eager = Bert::new(cfg, opts, 3);
-    let mut graphed = Bert::new(cfg, TrainOptions { graph: true, ..opts }, 3);
-    let mut tr_e = Tracer::new();
-    let mut tr_g = Tracer::new();
-    eager.train_step(&mut tr_e, &batch).expect("eager step");
-    graphed.train_step(&mut tr_g, &batch).expect("graph step");
-    let te = tr_e.into_records();
-    let tg = tr_g.into_records();
-    assert_eq!(
-        te.len(),
-        tg.len(),
-        "kernel counts diverge: eager {} vs graph {}",
-        te.len(),
-        tg.len()
-    );
-    for (i, (e, g)) in te.iter().zip(&tg).enumerate() {
+    let mut bert = Bert::new(cfg, opts, 3);
+    let mut tracer = Tracer::new();
+    bert.train_step(&mut tracer, &batch).expect("train step");
+    tracer.into_records()
+}
+
+/// The step recorded at op grain, merged into the tracer in submission
+/// order at 1, 2 and 8 worker threads, must produce the op stream of the
+/// same step recorded at layer grain and run on one thread.
+fn graph_trace_matches_eager(opts: TrainOptions) {
+    use bertscope_tensor::pool;
+    use bertscope_train::TaskGrain;
+    let reference =
+        pool::with_threads(1, || traced_step(TrainOptions { grain: TaskGrain::Layer, ..opts }));
+    for threads in [1usize, 2, 8] {
+        let run = pool::with_threads(threads, || {
+            traced_step(TrainOptions { grain: TaskGrain::Op, ..opts })
+        });
         assert_eq!(
-            graph_mode_sig(e),
-            graph_mode_sig(g),
-            "op #{i} diverges between eager and graph execution"
+            reference.len(),
+            run.len(),
+            "kernel counts diverge at {threads} threads: layer grain {} vs op grain {}",
+            reference.len(),
+            run.len()
         );
-        assert_eq!(e.gemm, g.gemm, "op #{i} GEMM spec: {} vs {}", e.name, g.name);
+        for (i, (r, g)) in reference.iter().zip(&run).enumerate() {
+            assert_eq!(
+                run_independent_sig(r),
+                run_independent_sig(g),
+                "op #{i} diverges between layer and op grain at {threads} threads"
+            );
+            assert_eq!(r.gemm, g.gemm, "op #{i} GEMM spec: {} vs {}", r.name, g.name);
+        }
     }
 }
 
@@ -202,8 +208,7 @@ fn whole_model_graph_trace_matches_eager_fused_epilogue() {
 
 #[test]
 fn whole_model_graph_trace_matches_eager_at_op_grain() {
-    use bertscope_train::TaskGrain;
-    graph_trace_matches_eager(TrainOptions { grain: TaskGrain::Op, ..TrainOptions::default() });
+    graph_trace_matches_eager(TrainOptions::default());
 }
 
 #[test]
